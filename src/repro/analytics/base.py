@@ -99,9 +99,9 @@ class FusedTask:
     ``wordlist_alternate`` marks a direction-flexible task: a factory for
     an equivalent :class:`FusedTask` that answers from the bottom-up word
     lists instead of running this bundle's own traversal.  When the plan
-    already schedules a word-list pass for other tasks (and the user did
-    not pin the top-down strategy), the planner swaps the bundle for its
-    alternate, eliminating a whole DAG pass from the plan.
+    already schedules a word-list pass for other tasks, the planner
+    swaps the bundle for its alternate, eliminating a whole DAG pass
+    from the plan.
     """
 
     def __init__(

@@ -23,6 +23,7 @@ from repro.core.traversal import (
     full_sweep_weights_for_segment,
     merge_segment_counts,
 )
+from repro.kernels.dagops import accumulate_rule_words
 
 
 def per_file_word_counts(
@@ -68,10 +69,14 @@ def segment_word_counts(
         ctx.clock.cpu(1)
         if is_word(symbol):
             file_counts[symbol] = file_counts.get(symbol, 0) + 1
-    for rule, weight in weights.items():
-        for word, freq in ctx.pruned.words(rule):
-            file_counts[word] = file_counts.get(word, 0) + weight * freq
-            ctx.clock.cpu(1)
+    kern = ctx.pruned.sweep_kernels()
+    if kern is not None:
+        accumulate_rule_words(kern, ctx.pruned.meta_offset, weights, file_counts)
+    else:
+        for rule, weight in weights.items():
+            for word, freq in ctx.pruned.words(rule):
+                file_counts[word] = file_counts.get(word, 0) + weight * freq
+                ctx.clock.cpu(1)
     return file_counts
 
 

@@ -336,6 +336,8 @@ class _RunState:
     pruned: PrunedDag | None = None
     #: The attached MediaGuard when ``media_protect`` is on, else None.
     guard: Any = None
+    #: Pruned-DAG pool builds performed on this machinery so far.
+    pool_builds: int = 0
 
 
 class NTadocEngine:
@@ -655,6 +657,7 @@ class NTadocEngine:
     def _build_pruned(self, state: _RunState) -> PrunedDag:
         """Build the device-resident pruned DAG pool (once per plan)."""
         config = self.config
+        state.pool_builds += 1
         return PrunedDag.build(
             state.pool,
             self.corpus,
@@ -928,6 +931,7 @@ class NTadocEngine:
 
         stats_start = state.pool_mem.stats.snapshot()
         records_start = len(state.timeline.records)
+        builds_start = state.pool_builds
         with self._observed():
             obs_events.emit(
                 "phase_start",
@@ -955,7 +959,9 @@ class NTadocEngine:
             for task in tasks:
                 obs_events.emit("task_complete", task=task.name, fused=True)
         self._record_run_metrics(state, stats_start, records_start, "fused")
-        return self._finish_plan(state, ctx, fused, outcome)
+        return self._finish_plan(
+            state, ctx, fused, outcome, pool_builds=state.pool_builds - builds_start
+        )
 
     def _run_many_resumed(self, tasks: "list[AnalyticsTask]", report):
         """Resume an interrupted fused plan from a recovered pool (same
@@ -993,7 +999,9 @@ class NTadocEngine:
             for task in tasks:
                 obs_events.emit("task_complete", task=task.name, fused=True)
         self._record_run_metrics(state, stats_start, records_start, "resumed")
-        return self._finish_plan(state, ctx, fused, outcome, resumed=True)
+        return self._finish_plan(
+            state, ctx, fused, outcome, pool_builds=0, resumed=True
+        )
 
     def _fuse_tasks(self, ctx, tasks: "list[AnalyticsTask]") -> list:
         """Collect every task's fused declaration (initialization phase).
@@ -1025,7 +1033,14 @@ class NTadocEngine:
                 f.exclusive_ns += state.clock.ns - start
 
     def _finish_plan(
-        self, state: _RunState, ctx, fused: list, outcome, *, resumed: bool = False
+        self,
+        state: _RunState,
+        ctx,
+        fused: list,
+        outcome,
+        *,
+        pool_builds: int,
+        resumed: bool = False,
     ):
         """Assemble the PlanResult: per-task attribution of one charge."""
         from repro.core.plan import PlanResult, PlanStats, plan_groups
@@ -1072,7 +1087,7 @@ class NTadocEngine:
             )
         stats = PlanStats(
             n_tasks=n,
-            pool_builds=1,
+            pool_builds=pool_builds,
             dag_passes=outcome.dag_passes,
             segment_sweeps=outcome.segment_sweeps,
             groups=plan_groups(fused),
@@ -1335,7 +1350,9 @@ class NTadocEngine:
 
         stats = PlanStats(
             n_tasks=len(results) + len(failures),
-            pool_builds=1,
+            # The plan's machinery is fresh: every build (the fused
+            # attempt's and each post-recovery rebuild) belongs to it.
+            pool_builds=state.pool_builds,
             fused=False,
         )
         return PlanResult(

@@ -52,7 +52,9 @@ class PlanStats:
     Attributes:
         n_tasks: Number of tasks in the plan.
         pool_builds: Pruned-DAG pool constructions performed (1 for a
-            fused plan, one per task for a sequential baseline plan).
+            fresh fused plan, 0 when it reused a built DAG -- a resumed
+            plan or a segmented-ingest query -- one per task for a
+            sequential baseline plan).
         dag_passes: Full-DAG rule sweeps per traversal direction, e.g.
             ``{"topdown": 1, "bottomup": 1}``.  A fused plan performs at
             most one pass per direction.
@@ -133,18 +135,6 @@ def plan_groups(fused: list["FusedTask"]) -> dict[str, list[str]]:
     return groups
 
 
-def counts_strategy_for(ctx: "CompressedTaskContext") -> str:
-    """The per-file counting strategy a fused plan uses.
-
-    Bottom-up reuses the shared word-list pass, so the planner prefers it
-    whenever the user did not explicitly pin top-down -- this is what
-    keeps a mixed plan at one DAG pass per direction.
-    """
-    if ctx.strategy_forced and ctx.strategy == "topdown":
-        return "topdown"
-    return "bottomup"
-
-
 def execute_fused(
     ctx: "CompressedTaskContext", fused: list["FusedTask"]
 ) -> FusedOutcome:
@@ -158,24 +148,21 @@ def execute_fused(
     Each hook invocation is bracketed with clock readings; the elapsed
     simulated time lands in that task's ``exclusive_ns``.
     """
-    from repro.analytics.perfile import segment_word_counts
+    from repro.analytics.perfile import per_file_word_counts
 
     clock = ctx.clock
     dag_passes = {"topdown": 0, "bottomup": 0}
     segment_sweeps = 0
 
     # --- replan: direction-flexible tasks ride the word-list pass ------
-    # When other tasks already force a bottom-up word-list pass (and the
-    # user did not pin the top-down strategy), swap every bundle offering
-    # a word-list alternate for that alternate -- the plan may drop its
-    # top-down pass entirely.
-    wordlist_pass_scheduled = any(f.needs.wordlists for f in fused) or (
-        any(f.needs.file_counts for f in fused)
-        and counts_strategy_for(ctx) == "bottomup"
-    )
-    if wordlist_pass_scheduled and not (
-        ctx.strategy_forced and ctx.strategy == "topdown"
-    ):
+    # Per-file counts follow the solo traversal rule (``ctx.strategy``,
+    # Section VI-E), so a plan of one task charges exactly what its solo
+    # run does.  When the plan schedules a bottom-up word-list pass
+    # anyway, swap every bundle offering a word-list alternate for that
+    # alternate -- the plan may drop its top-down pass entirely.
+    need_counts = any(f.needs.file_counts for f in fused)
+    counts_strategy = ctx.strategy if need_counts else None
+    if counts_strategy == "bottomup" or any(f.needs.wordlists for f in fused):
         swapped = []
         for index, f in enumerate(fused):
             if f.wordlist_alternate is not None:
@@ -195,14 +182,9 @@ def execute_fused(
     bottomup = [f for f in fused if f.visit_rule_bottomup is not None]
     segmenters = [f for f in fused if f.visit_segment is not None]
     need_weights = bool(topdown) or any(f.needs.weights for f in fused)
-    need_wordlists = any(f.needs.wordlists for f in fused)
-    need_counts = any(f.needs.file_counts for f in fused)
-
-    counts_strategy = None
-    if need_counts:
-        counts_strategy = counts_strategy_for(ctx)
-        if counts_strategy == "bottomup":
-            need_wordlists = True
+    need_wordlists = counts_strategy == "bottomup" or any(
+        f.needs.wordlists for f in fused
+    )
 
     def timed(f: "FusedTask", hook, label: str):
         op_name = f"task:{f.task.name}:{label}"
@@ -262,30 +244,30 @@ def execute_fused(
     if segmenters or need_counts:
         segment_sweeps = 1
         with obs.span("plan:segment_sweep", category="plan") as sweep_span:
-            callbacks = [
-                (f, timed(f, f.visit_segment, "visit_segment"))
-                for f in segmenters
-            ]
-            shared_counts: list[dict[int, int]] = []
             segments = ctx.root_segments()
             if sweep_span is not None:
                 sweep_span.attrs["files"] = len(segments)
+            # The shared counts are the solo tasks' own pass (one
+            # operation commit per file), run before any visitor, so a
+            # plan of one counting task charges in its solo run's order.
+            counts = (
+                per_file_word_counts(ctx, counts_strategy)
+                if need_counts
+                else None
+            )
+            callbacks = [
+                (timed(f, f.visit_segment, "visit_segment"), f.needs.file_counts)
+                for f in segmenters
+            ]
             for file_index, segment in enumerate(segments):
-                counts = None
-                if need_counts:
-                    counts = segment_word_counts(ctx, segment, counts_strategy)
-                    ctx.ledger.charge("dram", "file_counts", len(counts) * 16)
-                    shared_counts.append(counts)
-                for f, call in callbacks:
-                    if f.needs.file_counts:
-                        call(file_index, segment, counts)
-                    else:
-                        call(file_index, segment, None)
-                ctx.op_commit()
-            if need_counts:
-                for counts in shared_counts:
-                    ctx.ledger.release("dram", "file_counts", len(counts) * 16)
-                ctx._file_counts.setdefault(counts_strategy, shared_counts)
+                for call, wants_counts in callbacks:
+                    call(
+                        file_index,
+                        segment,
+                        counts[file_index] if wants_counts else None,
+                    )
+                if counts is None:
+                    ctx.op_commit()
 
     # --- opaque fallbacks, then finishers, in submission order ---------
     results: list[Any] = []

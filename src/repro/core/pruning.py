@@ -311,6 +311,24 @@ class PrunedDag:
             return layout.read_u64(self._mem, self._meta_off + rule * 8)
         return self._meta_off + rule * META_RECORD_SIZE
 
+    @property
+    def meta_offset(self) -> int:
+        """Device offset of the metadata region (packed layout: the
+        record of rule ``r`` sits at ``meta_offset + r * 48``)."""
+        return self._meta_off
+
+    def sweep_kernels(self):
+        """The device's bulk kernels when per-rule sweeps may use them.
+
+        ``None`` -- run the scalar reference reads -- under the indexed
+        (naive) layout, whose records are reached through pointers, and
+        whenever ``kernel_ready`` is false (fault plan armed, trace
+        recorder attached, media seals verified, kernels off).
+        """
+        if self.indexed_layout or not self._mem.kernel_ready:
+            return None
+        return self._mem.kernels
+
     def meta(self, rule: int) -> tuple[int, int, int, int, int, int, int, int, int]:
         """Raw metadata record: (entry_off, raw_off, n_sub, n_words,
         raw_len, in_deg, out_deg, bound, weight)."""

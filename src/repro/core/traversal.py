@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.core.grammar import is_rule_ref, is_separator, rule_index
 from repro.core.pruning import PrunedDag
+from repro.kernels.dagops import sweep_subrule_weights
 from repro.nvm.allocator import PoolAllocator
 from repro.obs import tracer as obs
 from repro.pstruct import layout
@@ -147,13 +148,18 @@ def full_sweep_weights_for_segment(
         if is_rule_ref(symbol):
             weights[rule_index(symbol)] += 1
             clock.cpu(1)
-    for rule in topo_order:
-        weight = weights[rule]
-        # The faithful sweep reads every rule's entries regardless of weight.
-        for subrule, freq in pruned.subrules(rule):
-            clock.cpu(1)
-            if weight:
-                weights[subrule] += weight * freq
+    kern = pruned.sweep_kernels()
+    if kern is not None:
+        sweep_subrule_weights(kern, pruned.meta_offset, topo_order, weights)
+    else:
+        for rule in topo_order:
+            weight = weights[rule]
+            # The faithful sweep reads every rule's entries regardless of
+            # weight.
+            for subrule, freq in pruned.subrules(rule):
+                clock.cpu(1)
+                if weight:
+                    weights[subrule] += weight * freq
     return {rule: w for rule, w in enumerate(weights) if w}
 
 

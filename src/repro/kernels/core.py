@@ -108,7 +108,7 @@ class Kernels:
     two backends differ only in wall-clock.
     """
 
-    __slots__ = ("mem", "np", "view_cache", "consts")
+    __slots__ = ("mem", "np", "view_cache", "consts", "read_charge")
 
     def __init__(self, mem, np_mod) -> None:
         self.mem = mem
@@ -120,6 +120,9 @@ class Kernels:
         #: the memory's singleton cache/stats/clock objects) hoisted once
         #: instead of per kernel call; see repro.kernels.hashops._consts.
         self.consts: tuple | None = None
+        #: Lazily-built read-charge routine shared by every kernel that
+        #: reads device data (see repro.kernels.hashops.read_charger).
+        self.read_charge = None
 
     # -- contiguous typed transfers ------------------------------------
 

@@ -161,10 +161,14 @@ class TestRunManyResilient:
         counter.on_read = trace
         ref = engine.run_many_resilient(tasks, fault_plan=counter)
         ref_results = {r.task: r.result for r in ref.results}
-        fplan = FaultPlan(media_faults=[fault_at(trace, index=5)])
+        # Aim at a read the fused plan really makes: the middle one of
+        # its clean reads (the count moves whenever the planner does).
+        fault = fault_at(trace, index=len(trace.reads) // 2)
+        fplan = FaultPlan(media_faults=[fault])
         out = engine.run_many_resilient(
             [task_by_name(n) for n in self.TASKS], fault_plan=fplan
         )
+        assert fault.applied
         assert len(out.results) + len(out.failures) == len(self.TASKS)
         for run in out.results:
             assert run.result == ref_results[run.task]

@@ -10,25 +10,40 @@ This suite holds that promise three ways:
 * property-based op programs over the persistent containers, replayed
   against one memory per mode and compared snapshot-for-snapshot,
 * an engine-level fused trio run compared across every mode,
+* the per-file top-down sweep kernel on datasets A, C and D, solo and
+  fused, with pool images, stats and outputs compared across backends,
+  plus the stand-down cases (armed fault plan, media protection),
 * the crash-sweep harness run with kernels on and off, whose reports
   (recovery costs included) must render identically.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analytics import perfile
 from repro.analytics.inverted_index import InvertedIndex
+from repro.analytics.ranked_inverted_index import RankedInvertedIndex
 from repro.analytics.term_vector import TermVector
 from repro.analytics.word_count import WordCount
+from repro.core import traversal
 from repro.core.engine import EngineConfig, NTadocEngine
+from repro.datasets.profiles import corpus_for
 from repro.errors import CapacityError
-from repro.harness.crashsweep import SweepConfig, render_report, run_sweep
-from repro.kernels import make
+from repro.harness.crashsweep import (
+    SweepConfig,
+    canonical_result,
+    render_report,
+    run_sweep,
+)
+from repro.kernels import make, numpy_or_none
 from repro.nvm.allocator import PoolAllocator
 from repro.nvm.device import DeviceProfile
+from repro.nvm.faults import FaultPlan
 from repro.nvm.memory import SimulatedMemory
 from repro.pstruct.phashtable import PHashTable
 from repro.pstruct.pqueue import PQueue
@@ -211,6 +226,99 @@ class TestEngineDifferential:
                 reference = key
             else:
                 assert key == reference, mode
+
+
+# -- top-down sweep kernel (repro.kernels.dagops) --------------------------
+
+SWEEP_TASKS = (InvertedIndex, TermVector, RankedInvertedIndex)
+
+
+def _backends() -> tuple[str, ...]:
+    """Kernel-backed modes to hold against "off" ("numpy" when importable)."""
+    return ("python", "numpy") if numpy_or_none() is not None else ("python",)
+
+
+def _pool_snapshot(mem: SimulatedMemory) -> tuple:
+    """:func:`snapshot` with the flight-recorder window masked: its event
+    slots name the kernel backend by design."""
+    clock_ns, image, *rest = snapshot(mem)
+    rec = mem._flightrec
+    if rec is not None:
+        lo, hi = rec.window
+        image = image[:lo] + bytes(hi - lo) + image[hi:]
+    return (clock_ns, image, *rest)
+
+
+def _sweep_runs(corpus, mode: str, fused: bool, fault_plan=None, **config) -> list:
+    """Outputs plus pool snapshot of each run of the sweep tasks."""
+    engine = NTadocEngine(corpus, EngineConfig(kernels=mode, **config))
+    if fused:
+        plans = [
+            engine.run_many_resilient(
+                [cls() for cls in SWEEP_TASKS], fault_plan=fault_plan
+            )
+        ]
+    else:
+        plans = []
+        for cls in SWEEP_TASKS:
+            run = engine.run_resilient(cls(), fault_plan=fault_plan)
+            plans.append(SimpleNamespace(results=[run], total_ns=run.total_ns))
+    return [
+        (
+            plan.total_ns,
+            [canonical_result(run.result) for run in plan.results],
+            _pool_snapshot(engine.last_state.pool_mem),
+        )
+        for plan in plans
+    ]
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Names of the dagops kernels called, in order."""
+    calls: list[str] = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(traversal, "sweep_subrule_weights")
+    spy(perfile, "accumulate_rule_words")
+    return calls
+
+
+class TestTopdownSweepKernel:
+    @pytest.mark.parametrize("fused", [False, True], ids=["solo", "fused"])
+    @pytest.mark.parametrize("dataset", ["A", "C", "D"])
+    def test_identical_across_backends(self, dataset, fused, sweep_calls):
+        corpus = corpus_for(dataset, scale=0.05)
+        reference = _sweep_runs(corpus, "off", fused)
+        assert sweep_calls == []
+        for mode in _backends():
+            assert _sweep_runs(corpus, mode, fused) == reference, mode
+        assert set(sweep_calls) == {
+            "sweep_subrule_weights",
+            "accumulate_rule_words",
+        }
+
+    def test_stands_down_under_armed_fault_plan(self, sweep_calls):
+        corpus = corpus_for("C", scale=0.05)
+        reference = _sweep_runs(corpus, "off", True, fault_plan=FaultPlan())
+        got = _sweep_runs(corpus, "python", True, fault_plan=FaultPlan())
+        assert got == reference
+        assert sweep_calls == []
+
+    def test_stands_down_under_media_protect(self, sweep_calls):
+        corpus = corpus_for("C", scale=0.05)
+        reference = _sweep_runs(corpus, "off", True, media_protect=True)
+        got = _sweep_runs(corpus, "python", True, media_protect=True)
+        assert got == reference
+        assert sweep_calls == []
 
 
 # -- crash sweep with kernels ---------------------------------------------

@@ -29,7 +29,11 @@ TRIO = ("word_count", "inverted_index", "term_vector")
 #: ingest; the *image* digests were re-pinned when the always-on
 #: ``__flightrec__`` region landed in the pool directory -- the header
 #: blob now names it, while data placement (the region is top-pinned)
-#: and every timing/result digest stayed bit-identical.)
+#: and every timing/result digest stayed bit-identical; the fused
+#: ``total_ns`` and image were re-pinned when fused plans adopted the
+#: solo traversal rule -- this one-file corpus now counts per file
+#: top-down instead of paying a bottom-up word-list pass, while every
+#: result digest and every solo pin stayed bit-identical.)
 SOLO_BASELINE = {
     "word_count": {
         "total_ns": 26243.2,
@@ -48,8 +52,8 @@ SOLO_BASELINE = {
     },
 }
 FUSED_BASELINE = {
-    "total_ns": 56443.8000000003,
-    "image": "cc70bd3254840e8e",
+    "total_ns": 53851.80000000011,
+    "image": "1f112d559e2cf59c",
     "results": ["d83ac6c281a770ec", "0edec4260e975e83", "888db5da8696ddaf"],
 }
 WEAR_BASELINE = {"digest": "d296fc5af4124c0e", "ns": 57856.0}

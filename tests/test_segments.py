@@ -3,7 +3,7 @@ the manifest codec, and trace parsing."""
 
 import pytest
 
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, NTadocEngine
 from repro.errors import PoolLayoutError, ReproError
 from repro.ingest import SegmentedCorpus, SegmentedEngine
 from repro.ingest.trace import TraceOp, format_trace, parse_trace, synthetic_trace
@@ -245,6 +245,47 @@ class TestManifest:
         eng.corpus.segments = [seg]
         with pytest.raises(ReproError):
             eng._manifest_blob()
+
+
+class TestSegmentQueries:
+    def _plans(self, monkeypatch):
+        """Record every per-segment fused plan a query runs."""
+        plans = []
+        original = NTadocEngine.run_many_on
+
+        def spy(engine, tasks, state):
+            plan = original(engine, tasks, state)
+            plans.append(plan)
+            return plan
+
+        monkeypatch.setattr(NTadocEngine, "run_many_on", spy)
+        return plans
+
+    def _engine(self):
+        eng = SegmentedEngine(EngineConfig(), seal_threshold_tokens=8)
+        for i in range(6):
+            eng.append(f"d{i}", f"alpha beta gamma delta {i} epsilon zeta eta")
+        return eng
+
+    def test_second_query_reports_no_pool_build(self, monkeypatch):
+        eng = self._engine()
+        plans = self._plans(monkeypatch)
+        eng.run_tasks(["word_count", "inverted_index"])
+        first = len(plans)
+        assert first >= 2
+        eng.run_tasks(["word_count", "inverted_index"])
+        assert len(plans) == 2 * first
+        # Segment DAGs are built at seal time; queries only reuse them.
+        assert [p.stats.pool_builds for p in plans] == [0] * len(plans)
+
+    def test_segment_plans_stay_bottomup_under_auto(self, monkeypatch):
+        eng = self._engine()
+        plans = self._plans(monkeypatch)
+        eng.run_tasks(["inverted_index"])
+        assert plans
+        for plan in plans:
+            assert plan.results[0].strategy == "bottomup"
+            assert plan.stats.dag_passes["bottomup"] == 1
 
 
 class TestTrace:
