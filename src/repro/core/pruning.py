@@ -323,7 +323,8 @@ class PrunedDag:
         ``None`` -- run the scalar reference reads -- under the indexed
         (naive) layout, whose records are reached through pointers, and
         whenever ``kernel_ready`` is false (fault plan armed, trace
-        recorder attached, media seals verified, kernels off).
+        recorder attached, kernels off).  Media protection does not
+        stand the sweeps down: their reads verify seals as they charge.
         """
         if self.indexed_layout or not self._mem.kernel_ready:
             return None

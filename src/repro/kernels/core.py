@@ -108,20 +108,18 @@ class Kernels:
     two backends differ only in wall-clock.
     """
 
-    __slots__ = ("mem", "np", "view_cache", "consts", "read_charge")
+    __slots__ = ("mem", "np", "consts", "read_charge")
 
     def __init__(self, mem, np_mod) -> None:
         self.mem = mem
         self.np = np_mod
-        #: (data_offset, capacity) -> cached memoryview triples for
-        #: hash-table buffers (see repro.kernels.hashops.table_views).
-        self.view_cache: dict = {}
         #: Lazily-built tuple of per-device invariants (profile costs and
         #: the memory's singleton cache/stats/clock objects) hoisted once
         #: instead of per kernel call; see repro.kernels.hashops._consts.
         self.consts: tuple | None = None
-        #: Lazily-built read-charge routine shared by every kernel that
-        #: reads device data (see repro.kernels.hashops.read_charger).
+        #: Lazily-built (plain, seal-verifying) read-charge routines
+        #: shared by every kernel that reads device data (see
+        #: repro.kernels.hashops.read_charger).
         self.read_charge = None
 
     # -- contiguous typed transfers ------------------------------------

@@ -9,6 +9,9 @@ order, each charged by the kernels' one read-charge routine
 (:func:`~repro.kernels.hashops.read_charger`) -- and decode the records
 straight from the device buffer.  Per-entry CPU charges are added one at
 a time in the scalar order, so the clock's float sum is bit-identical.
+Under media protection that routine verifies each read's seals right
+after charging it, so damage surfaces as the scalar path's
+``MediaError``, at the same read.
 
 The caller guarantees ``mem.kernel_ready`` and the packed pruned-DAG
 layout (fixed-stride metadata records); otherwise it runs the scalar

@@ -6,7 +6,7 @@ It walks the batch **sequentially in the caller-given order** -- exactly
 the order the scalar path uses -- so probe paths, cache evolution, and
 every charged nanosecond match the scalar ``_locate``/``_write_slot``/
 ``rmw_add`` sequence bit for bit.  What changes is the wall-clock cost
-per element: all simulator state (LRU dict, stats, clock, media/wear
+per element: all simulator state (LRU dict, stats, clock, bookkeeping
 sets) is hoisted into locals, and slot data moves through zero-copy
 ``memoryview.cast`` views of the device buffer instead of per-field
 ``int.to_bytes``/``int.from_bytes`` round-trips.
@@ -22,7 +22,17 @@ The caller guarantees (see ``PHashTable._kernel_ok``):
 
 Charge blocks below are transliterations of the single-line fast paths
 of ``SimulatedMemory.read_uint`` / ``write_uint`` / ``rmw_add``; keep
-them in lockstep with ``repro/nvm/memory.py``.
+them in lockstep with ``repro/nvm/memory.py``.  Every eviction
+write-back goes through ``SimulatedMemory._program_line``, so wear and
+the media-protect seal mirror evolve exactly as on the scalar path.
+
+Media protection (an attached integrity mirror) is verified, not stood
+down for: each read of a clean, sealed line is checked by
+``SimulatedMemory._verify_read`` right after its charge -- in
+``read_charger`` for every span it charges, and in ``probe_batch`` after
+each status, key and value read -- so a ``MediaError`` surfaces with the
+scalar path's clock, stats and partly updated table.  Verification
+charges nothing, like the DIMM ECC check it models.
 """
 
 from __future__ import annotations
@@ -44,20 +54,19 @@ _NO_LML = -(1 << 60)
 
 
 def table_views(kern, data_offset: int, capacity: int):
-    """Cached zero-copy (status, key, value) views of one table's buffers."""
-    cache_key = (data_offset, capacity)
-    views = kern.view_cache.get(cache_key)
-    if views is None:
-        buf_mv = memoryview(kern.mem._buf)
-        key_base = data_offset + capacity
-        value_base = data_offset + capacity * 9
-        views = (
-            buf_mv[data_offset : data_offset + capacity],
-            buf_mv[key_base : key_base + capacity * 8].cast("Q"),
-            buf_mv[value_base : value_base + capacity * 8].cast("q"),
-        )
-        kern.view_cache[cache_key] = views
-    return views
+    """Zero-copy (status, key, value) views of one table's buffers.
+
+    Uncached: the table object holds them (``PHashTable._views``), so
+    they are dropped with the table.
+    """
+    buf_mv = memoryview(kern.mem._buf)
+    key_base = data_offset + capacity
+    value_base = data_offset + capacity * 9
+    return (
+        buf_mv[data_offset : data_offset + capacity],
+        buf_mv[key_base : key_base + capacity * 8].cast("Q"),
+        buf_mv[value_base : value_base + capacity * 8].cast("q"),
+    )
 
 
 def _consts(kern):
@@ -86,7 +95,6 @@ def _consts(kern):
             mem._dirty_lines,
             mem._evict_programmed,
             mem._media_lines,
-            mem.wear,
         )
         kern.consts = consts
     return consts
@@ -98,12 +106,22 @@ def read_charger(kern):
     ``charge_read(offset, size)`` charges exactly what
     ``SimulatedMemory.read(offset, size)`` charges on the batched cost
     model -- LRU evolution, clock, per-device stats, eviction
-    write-backs and wear -- without moving data; the caller reads the
-    bytes through a zero-copy view afterwards.  Built once per
-    :class:`~repro.kernels.core.Kernels` instance and cached on it.
+    write-backs, wear and reseals -- without moving data; the caller
+    reads the bytes through a zero-copy view afterwards.  While an
+    integrity mirror is attached the returned routine also verifies the
+    span's seals right after charging it.  Call once per kernel call
+    (the mirror is attached or detached only between kernel calls); the
+    routines are built once per :class:`~repro.kernels.core.Kernels`
+    instance and cached on it.
     """
-    if kern.read_charge is not None:
-        return kern.read_charge
+    chargers = kern.read_charge
+    if chargers is None:
+        chargers = kern.read_charge = _build_read_chargers(kern)
+    return chargers[kern.mem._integrity_seals is not None]
+
+
+def _build_read_chargers(kern):
+    """``(charge_read, charge_and_verify_read)`` for :func:`read_charger`."""
     mem = kern.mem
     (
         line_size,
@@ -117,13 +135,13 @@ def read_charger(kern):
         cache,
         _dirty_lines,
         evict_programmed,
-        media,
-        wear,
+        _media,
     ) = _consts(kern)
     access_many = cache.access_many
     cache_lines = cache._lines
     move_to_end = cache_lines.move_to_end
-    media_add = media.add
+    program_line = mem._program_line
+    verify_read = mem._verify_read
     ep_add = evict_programmed.add
 
     def charge_read(offset: int, size: int) -> None:
@@ -168,9 +186,7 @@ def read_charger(kern):
                 cost = (seq_write_ns if victim == at + 1 else write_ns) + syscall
                 total += cost
                 device += cost
-                media_add(victim)
-                if wear is not None:
-                    wear[victim] = wear.get(victim, 0) + 1
+                program_line(victim)
                 ep_add(victim)
             stats.writebacks += len(evictions)
         if device:
@@ -179,26 +195,29 @@ def read_charger(kern):
         stats.read_ops += 1
         stats.bytes_read += size
 
-    kern.read_charge = charge_read
-    return charge_read
+    def charge_and_verify_read(offset: int, size: int) -> None:
+        charge_read(offset, size)
+        verify_read(offset, size)
+
+    return charge_read, charge_and_verify_read
 
 
-def scan_chunks(kern, *, data_offset: int, capacity: int, chunk: int = 512):
+def scan_chunks(kern, views, *, data_offset: int, capacity: int, chunk: int = 512):
     """Yield per-chunk ``(keys, vals)`` lists of one table's occupied slots.
 
     Charge-identical to the scalar ``PHashTable.items`` scan: per chunk,
     one bulk status read, and -- only when the chunk holds occupied
-    slots -- one bulk key read and one bulk value read, each charged by
-    :func:`read_charger`.  Charges land before each ``yield``, so a
-    partial drain leaves the same simulator state as a partial drain of
-    the scalar generator.
+    slots -- one bulk key read and one bulk value read, each charged
+    (and seal-verified) by :func:`read_charger`.  Charges land before
+    each ``yield``, so a partial drain leaves the same simulator state
+    as a partial drain of the scalar generator.
 
-    Data moves through the cached zero-copy views instead of
-    ``mem.read`` copies, and occupied slots are gathered with numpy when
-    available.
+    Data moves through the table's zero-copy ``views`` (see
+    :func:`table_views`) instead of ``mem.read`` copies, and occupied
+    slots are gathered with numpy when available.
     """
     np_mod = kern.np
-    st_mv, k_mv, v_mv = table_views(kern, data_offset, capacity)
+    st_mv, k_mv, v_mv = views
     key_base = data_offset + capacity
     value_base = data_offset + capacity * 9
     charge_read = read_charger(kern)
@@ -238,6 +257,7 @@ def scan_chunks(kern, *, data_offset: int, capacity: int, chunk: int = 512):
 
 def probe_batch(
     kern,
+    views,
     *,
     data_offset: int,
     capacity: int,
@@ -251,15 +271,17 @@ def probe_batch(
 ) -> int:
     """Run one ordered batch of probes; return the number of inserts.
 
+    ``views`` are the table's zero-copy buffers (:func:`table_views`).
     ``entries`` is a list of ``(home_slot, key, aux)`` in the exact order
     the scalar path would process them (stable home-slot order).  For
     ``GET``, ``aux`` is the index into ``out``; otherwise it is the delta
     (ADD) or value (PUT).  ``counter`` (a one-element list) receives the
-    updated live count even when a :class:`CapacityError` is raised
-    mid-batch, mirroring the scalar path's partially-updated state.
+    updated live count even when a :class:`CapacityError` or
+    :class:`~repro.errors.MediaError` is raised mid-batch, mirroring the
+    scalar path's partially-updated state.
     """
     mem = kern.mem
-    st_mv, k_mv, v_mv = table_views(kern, data_offset, capacity)
+    st_mv, k_mv, v_mv = views
     mask = capacity - 1
     key_base = data_offset + capacity
     value_base = data_offset + capacity * 9
@@ -277,7 +299,6 @@ def probe_batch(
         dirty_lines,
         evict_programmed,
         media,
-        wear,
     ) = _consts(kern)
     cpu_ns = clock.CPU_OP_NS
     cache_lines = cache._lines
@@ -287,7 +308,11 @@ def probe_batch(
     dirty_add = dirty_lines.add
     ep_add = evict_programmed.add
     ep_discard = evict_programmed.discard
-    media_add = media.add
+    program_line = mem._program_line
+    #: Integrity mirror, or None.  A read of a line that is sealed and
+    #: clean is verified right after its charge; dirty lines never are.
+    seals = mem._integrity_seals
+    verify_read = mem._verify_read
 
     cns = clock.ns  # running copy: identical add sequence => identical bits
     dns = 0.0  # device_ns delta (integer-valued charges: grouping-safe)
@@ -322,9 +347,7 @@ def probe_batch(
                             ) + syscall
                             cost += wcost
                             writebacks += 1
-                            media_add(victim)
-                            if wear is not None:
-                                wear[victim] = wear.get(victim, 0) + 1
+                            program_line(victim)
                             ep_add(victim)
                     dns += cost
                     cns += cost
@@ -332,6 +355,8 @@ def probe_batch(
                 lines_r += 1
                 ops_r += 1
                 bytes_r += 1
+                if seals is not None and line in seals and line not in dirty_lines:
+                    verify_read(data_offset + slot, 1)
                 status = st_mv[slot]
                 if status == _EMPTY:
                     target = first_free if first_free >= 0 else slot
@@ -358,9 +383,7 @@ def probe_batch(
                             ) + syscall
                             cost += wcost
                             writebacks += 1
-                            media_add(victim)
-                            if wear is not None:
-                                wear[victim] = wear.get(victim, 0) + 1
+                            program_line(victim)
                             ep_add(victim)
                     dns += cost
                     cns += cost
@@ -368,6 +391,8 @@ def probe_batch(
                 lines_r += 1
                 ops_r += 1
                 bytes_r += 8
+                if seals is not None and line in seals and line not in dirty_lines:
+                    verify_read(key_base + slot * 8, 8)
                 if k_mv[slot] == key:
                     target = slot
                     found = True
@@ -381,17 +406,15 @@ def probe_batch(
             if found:
                 line = (value_base + target * 8) // line_size
                 if mode == ADD:
-                    # rmw_add(value_offset, 8, aux, signed=True) charge
+                    # rmw_add(value_offset, 8, aux, signed=True) charge: the
+                    # read half, then the write half's guaranteed dirty hit.
                     if line in cache_lines:
                         move_to_end(line)
-                        hits += 2
-                        cns += 2.0
+                        hits += 1
+                        cost = 1.0
                     else:
                         misses += 1
-                        hits += 1
                         cost = (seq_read_ns if line == lml + 1 else read_ns) + syscall
-                        dcost = cost
-                        cost += 1.0
                         lml = line
                         if len(cache_lines) >= cache_cap:
                             victim, victim_dirty = popitem(False)
@@ -400,22 +423,30 @@ def probe_batch(
                                     seq_write_ns if victim == line + 1 else write_ns
                                 ) + syscall
                                 cost += wcost
-                                dcost += wcost
                                 writebacks += 1
-                                media_add(victim)
-                                if wear is not None:
-                                    wear[victim] = wear.get(victim, 0) + 1
+                                program_line(victim)
                                 ep_add(victim)
-                        dns += dcost
+                        dns += cost
+                        cache_lines[line] = False
+                    lines_r += 1
+                    ops_r += 1
+                    bytes_r += 8
+                    if seals is None:
+                        cns += cost + 1.0
+                    else:
+                        # Under seals rmw_add is read() then write(): two
+                        # clock adds, with the read half verified before
+                        # the write half is charged.
                         cns += cost
+                        if line in seals and line not in dirty_lines:
+                            verify_read(value_base + target * 8, 8)
+                        cns += 1.0
+                    hits += 1
                     cache_lines[line] = True
                     dirty_add(line)
                     ep_discard(line)
-                    lines_r += 1
                     lines_w += 1
-                    ops_r += 1
                     ops_w += 1
-                    bytes_r += 8
                     bytes_w += 8
                     v_mv[target] += aux
                 elif mode == PUT:
@@ -444,9 +475,7 @@ def probe_batch(
                                 cost += wcost
                                 dcost += wcost
                                 writebacks += 1
-                                media_add(victim)
-                                if wear is not None:
-                                    wear[victim] = wear.get(victim, 0) + 1
+                                program_line(victim)
                                 ep_add(victim)
                         if dcost:
                             dns += dcost
@@ -476,9 +505,7 @@ def probe_batch(
                                 ) + syscall
                                 cost += wcost
                                 writebacks += 1
-                                media_add(victim)
-                                if wear is not None:
-                                    wear[victim] = wear.get(victim, 0) + 1
+                                program_line(victim)
                                 ep_add(victim)
                         dns += cost
                         cns += cost
@@ -486,6 +513,8 @@ def probe_batch(
                     lines_r += 1
                     ops_r += 1
                     bytes_r += 8
+                    if seals is not None and line in seals and line not in dirty_lines:
+                        verify_read(value_base + target * 8, 8)
                     out[aux] = v_mv[target]
                 continue
 
@@ -522,9 +551,7 @@ def probe_batch(
                         cost += wcost
                         dcost += wcost
                         writebacks += 1
-                        media_add(victim)
-                        if wear is not None:
-                            wear[victim] = wear.get(victim, 0) + 1
+                        program_line(victim)
                         ep_add(victim)
                 if dcost:
                     dns += dcost
@@ -560,9 +587,7 @@ def probe_batch(
                         cost += wcost
                         dcost += wcost
                         writebacks += 1
-                        media_add(victim)
-                        if wear is not None:
-                            wear[victim] = wear.get(victim, 0) + 1
+                        program_line(victim)
                         ep_add(victim)
                 if dcost:
                     dns += dcost
@@ -598,9 +623,7 @@ def probe_batch(
                         cost += wcost
                         dcost += wcost
                         writebacks += 1
-                        media_add(victim)
-                        if wear is not None:
-                            wear[victim] = wear.get(victim, 0) + 1
+                        program_line(victim)
                         ep_add(victim)
                 if dcost:
                     dns += dcost

@@ -239,8 +239,8 @@ class SimulatedMemory:
                     data = self._corrupt_read(offset, data)
                 if plan.media_faults:
                     data = self._media_read(offset, data)
-            if self._integrity_seals is not None and size:
-                self._verify_window(offset, data)
+            if self._integrity_seals is not None:
+                self._verify_read(offset, size, data if plan is not None else None)
             return data
         self._check_range(offset, size)
         self._touch_impl(offset, size, False)
@@ -257,7 +257,7 @@ class SimulatedMemory:
             if plan.media_faults:
                 data = self._media_read(offset, data)
         if self._integrity_seals is not None and size:
-            self._verify_window(offset, data)
+            self._verify_read(offset, size, data if plan is not None else None)
         return data
 
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
@@ -350,17 +350,17 @@ class SimulatedMemory:
 
         False while a fault plan is armed (kernels would skip the
         per-write hooks and read-corruption sites), under the per-line
-        reference cost model, while a trace recorder has the scalar
-        accessors patched, or while an integrity mirror is attached
-        (kernels would skip seal verification); callers then take the
-        scalar path, which handles all four.
+        reference cost model, or while a trace recorder has the scalar
+        accessors patched; callers then take the scalar path, which
+        handles all three.  An attached integrity mirror does not stand
+        kernels down: every kernel read verifies its span through
+        :meth:`_verify_read` right after charging it, as ``read()`` does.
         """
         return (
             self.kernels is not None
             and self._batched
             and self._fault_plan is None
             and not self._recording
-            and self._integrity_seals is None
         )
 
     def read_array(self, offset: int, count: int, elem_size: int, signed: bool = False):
@@ -400,11 +400,9 @@ class SimulatedMemory:
                 plan is not None
                 and (plan.has_pending_corruption or plan.media_faults)
             )
-            or self._integrity_seals is not None
         ):
-            # Injected corruption/media faults and seal verification are
-            # applied by read(); route scalar loads through it while any
-            # is armed.
+            # Injected corruption/media faults are applied by read();
+            # route scalar loads through it while any is armed.
             return int.from_bytes(self.read(offset, size), "little", signed=signed)
         if plan is not None:
             plan.reads += 1
@@ -445,6 +443,8 @@ class SimulatedMemory:
         self.clock.ns += total
         stats.read_ops += 1
         stats.bytes_read += size
+        if self._integrity_seals is not None:
+            self._verify_read(offset, size)
         return int.from_bytes(self._buf[offset:end], "little", signed=signed)
 
     def write_uint(
@@ -1104,33 +1104,42 @@ class SimulatedMemory:
         finally:
             self._verify_suspended -= 1
 
-    def _verify_window(self, offset: int, data: bytes) -> None:
+    def _verify_read(self, offset: int, size: int, data: bytes | None = None) -> None:
         """Check every sealed, clean line spanned by a completed read.
 
-        The returned window is overlaid on the line's stored bytes before
-        hashing so purely-transient faults (which never touch the image)
-        are caught too.  Dirty lines are skipped: their seals are either
-        refreshed or invalidated at the next flush.
+        The one seal-verification routine: ``read()``, the ``read_uint``
+        fast path and every kernel read call it right after charging
+        their span, so a mismatch raises with the read's charges (and
+        nothing after them) already on the clock and stats.  Each line's
+        stored bytes are hashed; ``data`` -- the bytes ``read()`` returns
+        while a fault plan is armed -- is overlaid on them first, so
+        purely-transient faults (which never touch the image) are caught
+        too.  Dirty lines are skipped: their seals are either refreshed
+        or invalidated at the next flush.
         """
         if self._verify_suspended:
             return
         seals = self._integrity_seals
         line_size = self.profile.line_size
-        end = offset + len(data)
+        end = offset + size
         dirty = self._dirty_lines
+        buf = self._buf
         for line in range(offset // line_size, (end - 1) // line_size + 1):
             expected = seals.get(line)
             if expected is None or line in dirty:
                 continue
             start = line * line_size
             stop = min(start + line_size, self.size)
-            chunk = bytearray(self._buf[start:stop])
             lo = max(offset, start)
-            hi = min(end, stop)
-            chunk[lo - start : hi - start] = data[lo - offset : hi - offset]
+            if data is None:
+                stored = buf[start:stop]
+            else:
+                stored = bytearray(buf[start:stop])
+                hi = min(end, stop)
+                stored[lo - start : hi - start] = data[lo - offset : hi - offset]
             # Seals store crc32-or-1 (0 means unsealed); mirror the
             # mapping here so a true CRC of zero still verifies.
-            if (zlib.crc32(bytes(chunk)) or 1) != expected:
+            if (zlib.crc32(stored) or 1) != expected:
                 exc = MediaError(
                     f"{self.name}: CRC seal mismatch on line {line} "
                     f"(read [{offset}, {end}))",

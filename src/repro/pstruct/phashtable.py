@@ -101,6 +101,9 @@ class PHashTable:
             self._data_offset,
         ) = _HEADER.unpack(raw)
         self.growable = bool(flags & _FLAG_GROWABLE)
+        #: Zero-copy kernel views of the table buffers, built on first
+        #: kernel use (``hashops.table_views``) and dropped with the table.
+        self._views = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -344,6 +347,7 @@ class PHashTable:
         get = counts.get
         for keys, vals in hashops.scan_chunks(
             self._mem.kernels,
+            self._kernel_views(),
             data_offset=self._data_offset,
             capacity=self._capacity,
         ):
@@ -380,6 +384,7 @@ class PHashTable:
         if self._scan_ok():
             for keys, values in hashops.scan_chunks(
                 self._mem.kernels,
+                self._kernel_views(),
                 data_offset=self._data_offset,
                 capacity=self._capacity,
             ):
@@ -411,6 +416,7 @@ class PHashTable:
         if self._scan_ok():
             for keys, vals in hashops.scan_chunks(
                 self._mem.kernels,
+                self._kernel_views(),
                 data_offset=self._data_offset,
                 capacity=self._capacity,
             ):
@@ -479,6 +485,14 @@ class PHashTable:
         """
         return _NATIVE_LE and self._mem.kernel_ready
 
+    def _kernel_views(self):
+        """This table's (status, key, value) kernel views, built once."""
+        if self._views is None:
+            self._views = hashops.table_views(
+                self._mem.kernels, self._data_offset, self._capacity
+            )
+        return self._views
+
     def _batch(self, mode: int, pairs, out: list | None = None) -> int:
         """Home-sort ``pairs`` and run the fused probe kernel.
 
@@ -496,6 +510,7 @@ class PHashTable:
         try:
             return hashops.probe_batch(
                 self._mem.kernels,
+                self._kernel_views(),
                 data_offset=self._data_offset,
                 capacity=self._capacity,
                 count=self._count,
@@ -585,6 +600,7 @@ class PHashTable:
         old_capacity = self._capacity
         self._capacity = new_capacity
         self._data_offset = self._alloc_buffers(self._allocator, new_capacity)
+        self._views = None
         self._count = 0
         self._tombstones = 0
         self._store_header()

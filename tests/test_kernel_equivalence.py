@@ -12,7 +12,7 @@ This suite holds that promise three ways:
 * an engine-level fused trio run compared across every mode,
 * the per-file top-down sweep kernel on datasets A, C and D, solo and
   fused, with pool images, stats and outputs compared across backends,
-  plus the stand-down cases (armed fault plan, media protection),
+  plus the armed-fault-plan stand-down and a media-protected run,
 * the crash-sweep harness run with kernels on and off, whose reports
   (recovery costs included) must render identically.
 """
@@ -313,12 +313,16 @@ class TestTopdownSweepKernel:
         assert got == reference
         assert sweep_calls == []
 
-    def test_stands_down_under_media_protect(self, sweep_calls):
+    def test_runs_under_media_protect(self, sweep_calls):
         corpus = corpus_for("C", scale=0.05)
         reference = _sweep_runs(corpus, "off", True, media_protect=True)
+        assert sweep_calls == []
         got = _sweep_runs(corpus, "python", True, media_protect=True)
         assert got == reference
-        assert sweep_calls == []
+        assert set(sweep_calls) == {
+            "sweep_subrule_weights",
+            "accumulate_rule_words",
+        }
 
 
 # -- crash sweep with kernels ---------------------------------------------
