@@ -2,7 +2,9 @@
 
 Each task implements three entry points:
 
-* ``run_compressed`` -- the N-TADOC path over a pruned DAG pool;
+* ``fuse`` -- the N-TADOC path over a pruned DAG pool: the task declares
+  its traversal needs and visit hooks, and the engine's planner drives
+  them (``engine.run(task)`` is a plan of one task);
 * ``run_uncompressed`` -- the baseline scan over dictionary-encoded
   tokens resident on a (simulated) device;
 * ``reference`` -- a pure-Python oracle used by the test suite to verify

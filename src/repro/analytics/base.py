@@ -57,6 +57,9 @@ class TraversalNeeds:
             computes them once per plan and hands each file's counts to
             the task's segment visitor.
         profiles: Needs the per-rule n-gram profiles (sequence tasks).
+        rule_words: The top-down visitor reads each rule's pruned word
+            list.  When no top-down visitor of the plan does, the sweep
+            reads each rule's weight field alone.
     """
 
     direction: str = "none"
@@ -65,6 +68,7 @@ class TraversalNeeds:
     segments: bool = False
     file_counts: bool = False
     profiles: bool = False
+    rule_words: bool = True
 
     def __post_init__(self) -> None:
         if self.direction not in ("topdown", "bottomup", "none"):
@@ -93,8 +97,8 @@ class FusedTask:
       count dict when :attr:`TraversalNeeds.file_counts` was declared,
       else ``None``.
     * ``finish()`` -- produce the task's result after all sweeps ran.
-    * ``run()`` -- opaque fallback executed when no hooks are given
-      (defaults to ``task.run_compressed(ctx)``).
+    * ``run()`` -- opaque body executed after the sweeps when the task
+      gives no ``finish()``.
 
     ``wordlist_alternate`` marks a direction-flexible task: a factory for
     an equivalent :class:`FusedTask` that answers from the bottom-up word
@@ -167,9 +171,6 @@ class CompressedTaskContext:
     profiles_live: bool = False
     _wordlists: list[PHashTable] | None = None
     _segments: list[list[int]] | None = None
-    #: Shared per-file word counts, keyed by the strategy that produced
-    #: them (filled by :mod:`repro.analytics.perfile`).
-    _file_counts: dict[str, list[dict[int, int]]] = field(default_factory=dict)
     _weights_ready: bool = False
 
     @property
@@ -281,32 +282,17 @@ class AnalyticsTask(ABC):
     #: Benchmark name as used in the paper's figures.
     name: str = ""
 
-    def prepare(self, ctx: CompressedTaskContext) -> None:
-        """Initialization-phase preprocessing hook.
-
-        The engine calls this inside the *initialization* phase, matching
-        the paper's time accounting: dataset-dependent precomputation
-        (e.g. the sequence tasks' per-rule n-gram profiles, which make
-        their init share dominate on large datasets in Table II) belongs
-        to initialization, not traversal.  The default does nothing.
-        """
-
     @abstractmethod
-    def run_compressed(self, ctx: CompressedTaskContext) -> Any:
-        """Execute on the N-TADOC compressed representation."""
-
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
         """Declare traversal needs and visit hooks for the planner.
 
-        The default participation is opaque: the task runs through
-        :meth:`run_compressed` against the shared context, still reusing
-        the single pool build and every cached intermediate (weights,
-        word lists, segments), but without per-rule read sharing.  Tasks
-        override this to expose fused visit hooks.
+        The task's N-TADOC entry point: every run on the compressed
+        representation, alone or beside other tasks, is a plan that calls
+        this inside the *initialization* phase (Table II's accounting --
+        dataset-dependent precomputation such as the sequence tasks'
+        n-gram profiles belongs there) and then drives the returned
+        hooks through the shared sweeps.
         """
-        return FusedTask(
-            self, TraversalNeeds(), run=lambda: self.run_compressed(ctx)
-        )
 
     @abstractmethod
     def run_uncompressed(self, ctx: UncompressedTaskContext) -> Any:

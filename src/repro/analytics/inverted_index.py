@@ -9,7 +9,7 @@ from repro.analytics.base import (
     TraversalNeeds,
     UncompressedTaskContext,
 )
-from repro.analytics.perfile import per_file_word_counts, per_file_word_counts_scan
+from repro.analytics.perfile import per_file_word_counts_scan
 
 
 def _extend_postings(
@@ -39,9 +39,6 @@ class InvertedIndex(AnalyticsTask):
     """Word-to-document index over the corpus."""
 
     name = "inverted_index"
-
-    def run_compressed(self, ctx: CompressedTaskContext) -> dict[int, list[int]]:
-        return _build_postings(per_file_word_counts(ctx), ctx)
 
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
         postings: dict[int, list[int]] = {}

@@ -9,10 +9,9 @@ Both traversal strategies of Section VI-E are implemented:
   segment-seeded weights (the original TADOC behaviour whose cost is
   O(files x |DAG|)).
 
-Per-file counts are cached on the context, keyed by the strategy that
-produced them, so a fused plan (or several tasks sharing one context)
-charges the device traffic once no matter how many consumers read the
-counts.
+The planner computes the counts once per plan and hands each file's
+counts to every consumer, so the device traffic is charged once no
+matter how many tasks read them.
 """
 
 from __future__ import annotations
@@ -27,20 +26,14 @@ from repro.kernels.dagops import accumulate_rule_words
 
 
 def per_file_word_counts(
-    ctx: CompressedTaskContext, strategy: str | None = None
+    ctx: CompressedTaskContext, strategy: str
 ) -> list[dict[int, int]]:
-    """Word counts per file on the compressed representation (cached).
+    """Word counts per file on the compressed representation.
 
     Args:
         ctx: The shared task context.
-        strategy: ``"topdown"`` or ``"bottomup"``; defaults to the
-            context's resolved strategy.  Counts computed under one
-            strategy are cached and reused by every later consumer.
+        strategy: ``"topdown"`` or ``"bottomup"``.
     """
-    strategy = strategy or ctx.strategy
-    cached = ctx._file_counts.get(strategy)
-    if cached is not None:
-        return cached
     counts: list[dict[int, int]] = []
     for segment in ctx.root_segments():
         file_counts = segment_word_counts(ctx, segment, strategy)
@@ -49,7 +42,6 @@ def per_file_word_counts(
         ctx.op_commit()
     for file_counts in counts:
         ctx.ledger.release("dram", "file_counts", len(file_counts) * 16)
-    ctx._file_counts[strategy] = counts
     return counts
 
 

@@ -40,52 +40,26 @@ class RankedInvertedIndex(AnalyticsTask):
 
     name = "ranked_inverted_index"
 
-    def prepare(self, ctx: CompressedTaskContext) -> None:
-        compute_rule_profiles(ctx)
-
-    def _visit_segment(
-        self, ctx, walker, profiles, postings, file_index, segment
-    ) -> None:
-        """One file's sequence counts, appended to the posting lists."""
-        weights = local_weights_for_segment(
-            ctx.pruned, segment, ctx.topo_position
-        )
-        file_counts = walker.walk_symbols(segment)
-        for key, count in combine_profiles(profiles, weights).items():
-            file_counts[key] = file_counts.get(key, 0) + count
-        ctx.clock.cpu(len(file_counts))
-        for key, count in file_counts.items():
-            postings.setdefault(key, []).append((file_index, count))
-        ctx.ledger.charge("dram", "rii_file_counts", len(file_counts) * 24)
-        ctx.ledger.release("dram", "rii_file_counts", len(file_counts) * 24)
-        ctx.op_commit()
-
-    def run_compressed(
-        self, ctx: CompressedTaskContext
-    ) -> dict[int, list[tuple[int, int]]]:
-        profiles = compute_rule_profiles(ctx)
-        walker = NgramWalker(ctx.pruned, ctx.ngram_n, key_names=ctx.ngram_names)
-        postings: dict[int, list[tuple[int, int]]] = {}
-        for file_index, segment in enumerate(ctx.root_segments()):
-            self._visit_segment(
-                ctx, walker, profiles, postings, file_index, segment
-            )
-        release_rule_profiles(ctx, profiles)
-        _rank(postings, ctx)
-        return postings
-
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
         # Joins the fused segment sweep with a custom per-segment visitor
         # (segment-seeded restricted propagation; it does not consume the
-        # shared per-file counts).
+        # shared per-file counts).  The sweep commits once per file.
         profiles = compute_rule_profiles(ctx)
         walker = NgramWalker(ctx.pruned, ctx.ngram_n, key_names=ctx.ngram_names)
         postings: dict[int, list[tuple[int, int]]] = {}
 
         def visit(file_index: int, segment: list[int], counts) -> None:
-            self._visit_segment(
-                ctx, walker, profiles, postings, file_index, segment
+            weights = local_weights_for_segment(
+                ctx.pruned, segment, ctx.topo_position
             )
+            file_counts = walker.walk_symbols(segment)
+            for key, count in combine_profiles(profiles, weights).items():
+                file_counts[key] = file_counts.get(key, 0) + count
+            ctx.clock.cpu(len(file_counts))
+            for key, count in file_counts.items():
+                postings.setdefault(key, []).append((file_index, count))
+            ctx.ledger.charge("dram", "rii_file_counts", len(file_counts) * 24)
+            ctx.ledger.release("dram", "rii_file_counts", len(file_counts) * 24)
 
         def finish() -> dict[int, list[tuple[int, int]]]:
             release_rule_profiles(ctx, profiles)

@@ -25,9 +25,10 @@ def compute_rule_profiles(ctx: CompressedTaskContext) -> list[dict[int, int]]:
 
     The profiles are transient DRAM working state (charged to the
     ledger); the persistent inputs -- ordered bodies and head/tail
-    buffers -- are read from the pool.  Cached on the context, so the
-    initialization-phase :meth:`AnalyticsTask.prepare` hook computes them
-    once and the traversal reuses them (Table II's accounting).
+    buffers -- are read from the pool.  Cached on the context: the
+    consumers' :meth:`~repro.analytics.base.AnalyticsTask.fuse` calls
+    compute them once, inside the initialization phase (Table II's
+    accounting).
     """
     if ctx.ngram_profiles is not None:
         return ctx.ngram_profiles
@@ -66,40 +67,29 @@ class SequenceCount(AnalyticsTask):
 
     name = "sequence_count"
 
-    def prepare(self, ctx: CompressedTaskContext) -> None:
-        compute_rule_profiles(ctx)
-
-    def run_compressed(self, ctx: CompressedTaskContext) -> dict[int, int]:
-        profiles = compute_rule_profiles(ctx)
-        ctx.ensure_weights()
-        weights = [ctx.pruned.weight(rule) for rule in range(ctx.pruned.n_rules)]
-        return self._combine(ctx, profiles, weights)
-
-    @staticmethod
-    def _combine(ctx, profiles, weights) -> dict[int, int]:
-        ctx.clock.cpu(sum(len(p) for p in profiles))
-        totals = combine_profiles(profiles, weights)
-        release_rule_profiles(ctx, profiles)
-        return totals
-
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
-        # Rides the fused top-down sweep: the weight each rule carries is
-        # captured from the shared per-rule record read instead of paying
-        # a dedicated weight read per rule.  Profiles are computed at
-        # fuse time, which the planner runs inside the initialization
-        # phase (the same accounting as the sequential prepare() hook).
+        # Rides the fused top-down sweep, capturing each rule's weight.
+        # It needs no word lists, so alone it pays one weight-field read
+        # per rule; beside word count or sort it takes the weight from
+        # their shared per-rule record read.  Profiles are computed here,
+        # which the planner runs inside the initialization phase.
         profiles = compute_rule_profiles(ctx)
         weights: list[int] = []
 
-        def visit(rule: int, weight: int, words: list) -> None:
+        def visit(rule: int, weight: int, words) -> None:
             weights.append(weight)
 
         def finish() -> dict[int, int]:
-            return self._combine(ctx, profiles, weights)
+            ctx.clock.cpu(sum(len(p) for p in profiles))
+            totals = combine_profiles(profiles, weights)
+            release_rule_profiles(ctx, profiles)
+            return totals
 
         return FusedTask(
             self,
-            TraversalNeeds(direction="topdown", weights=True, profiles=True),
+            TraversalNeeds(
+                direction="topdown", weights=True, profiles=True, rule_words=False
+            ),
             visit_rule=visit,
             finish=finish,
         )

@@ -10,7 +10,7 @@ from repro.analytics.base import (
     UncompressedTaskContext,
     charge_sort,
 )
-from repro.analytics.perfile import per_file_word_counts, per_file_word_counts_scan
+from repro.analytics.perfile import per_file_word_counts_scan
 
 
 def _top_k(counts: dict[int, int], k: int, ctx) -> list[tuple[int, int]]:
@@ -32,12 +32,6 @@ class TermVector(AnalyticsTask):
     """Per-file top-k most frequent words."""
 
     name = "term_vector"
-
-    def run_compressed(
-        self, ctx: CompressedTaskContext
-    ) -> list[list[tuple[int, int]]]:
-        counts = per_file_word_counts(ctx)
-        return [_top_k(c, ctx.term_vector_k, ctx) for c in counts]
 
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
         vectors: list[list[tuple[int, int]]] = []

@@ -176,14 +176,15 @@ class RunResult:
     #: True when this run resumed from a RecoveryReport instead of a
     #: fresh pool (its analytics output must match the uncrashed run's).
     resumed: bool = False
-    #: True when this result came out of a fused multi-task plan; its
-    #: timing fields are then *attributions* of the plan's single charge.
+    #: True when this result came out of ``run_many``; its timing fields
+    #: are then *attributions* of the plan's single charge (``run``
+    #: reports its own timeline instead).
     fused: bool = False
     #: This task's even share of the plan's shared substrate cost
-    #: (pool build, fused sweeps); 0 for a solo run.
+    #: (pool build, fused sweeps); 0 for ``run``.
     shared_ns: float = 0.0
     #: Simulated ns spent exclusively in this task's own hooks
-    #: (fused plans only; 0 for a solo run).
+    #: (``run_many`` only; 0 for ``run``).
     exclusive_ns: float = 0.0
 
     @property
@@ -321,7 +322,7 @@ def corpus_analysis(corpus: CompressedCorpus, headtail_k: int) -> CorpusAnalysis
 
 @dataclass
 class _RunState:
-    """Per-run simulated machinery, shared by the solo and fused paths."""
+    """Per-plan simulated machinery (one plan may run one task or many)."""
 
     clock: SimulatedClock
     pool_mem: SimulatedMemory
@@ -415,9 +416,7 @@ class NTadocEngine:
     def _fresh_state(
         self, fault_plan: "FaultPlan | None" = None, n_tasks: int = 1
     ) -> _RunState:
-        """Cold simulated machinery for one run (or one fused plan)."""
-        from repro.nvm.allocator import PoolAllocator
-
+        """Cold simulated machinery for one plan."""
         config = self.config
         clock = SimulatedClock()
         profile = DeviceProfile.by_name(config.device)
@@ -438,10 +437,6 @@ class NTadocEngine:
         )
         if fault_plan is not None:
             pool_mem.arm_faults(fault_plan)
-        dram_mem = SimulatedMemory(
-            DeviceProfile.dram(), 1 << 24, clock, name="dram-scratch", kernels=config.kernels
-        )
-        dram_alloc = PoolAllocator(dram_mem, base=0, capacity=dram_mem.size)
         pool = NvmPool(
             pool_mem,
             scatter=config.use_scattered_layout,
@@ -453,40 +448,28 @@ class NTadocEngine:
 
             guard = MediaGuard(pool)
         self._alloc_flightrec(pool)
-        self._attach_observability(clock, pool_mem, pool)
-        ledger = MemoryLedger()
-        self._bind_tracer(clock, pool_mem, dram_mem, ledger)
-        return _RunState(
-            clock=clock,
-            pool_mem=pool_mem,
-            dram_mem=dram_mem,
-            dram_alloc=dram_alloc,
-            pool=pool,
-            ledger=ledger,
-            timeline=PhaseTimeline(clock, tracer=config.tracer),
-            disk=DeviceProfile.by_name(config.disk),
-            phase_persist=(
-                PhasePersistence(pool) if config.persistence == "phase" else None
-            ),
-            op_commit=self._make_op_commit(pool),
-            guard=guard,
-        )
+        return self._state_around(pool, guard=guard)
 
     def _resumed_state(self, report: "RecoveryReport") -> _RunState:
         """Machinery wrapped around a recovered pool: its clock keeps
         ticking (recovery cost is part of the measured time) and any
         armed fault plan is disarmed."""
+        report.pool.memory.disarm_faults()
+        return self._state_around(report.pool, pruned=report.pruned)
+
+    def _state_around(
+        self, pool: NvmPool, *, guard: Any = None, pruned: PrunedDag | None = None
+    ) -> _RunState:
+        """The per-plan machinery around ``pool``: DRAM scratch, ledger,
+        timeline, persistence hooks, and the observability bindings."""
         from repro.nvm.allocator import PoolAllocator
 
         config = self.config
-        pool = report.pool
         pool_mem = pool.memory
-        pool_mem.disarm_faults()
         clock = pool_mem.clock
         dram_mem = SimulatedMemory(
             DeviceProfile.dram(), 1 << 24, clock, name="dram-scratch", kernels=config.kernels
         )
-        dram_alloc = PoolAllocator(dram_mem, base=0, capacity=dram_mem.size)
         self._attach_observability(clock, pool_mem, pool)
         ledger = MemoryLedger()
         self._bind_tracer(clock, pool_mem, dram_mem, ledger)
@@ -494,7 +477,7 @@ class NTadocEngine:
             clock=clock,
             pool_mem=pool_mem,
             dram_mem=dram_mem,
-            dram_alloc=dram_alloc,
+            dram_alloc=PoolAllocator(dram_mem, base=0, capacity=dram_mem.size),
             pool=pool,
             ledger=ledger,
             timeline=PhaseTimeline(clock, tracer=config.tracer),
@@ -503,7 +486,8 @@ class NTadocEngine:
                 PhasePersistence(pool) if config.persistence == "phase" else None
             ),
             op_commit=self._make_op_commit(pool),
-            pruned=report.pruned,
+            pruned=pruned,
+            guard=guard,
         )
 
     def _bind_tracer(
@@ -695,20 +679,8 @@ class NTadocEngine:
             growable=config.use_growable_structures,
             ngram_n=config.ngram_n,
             term_vector_k=config.term_vector_k,
-            op_commit=(
-                state.op_commit
-                if config.persistence == "operation"
-                else (lambda: None)
-            ),
+            op_commit=state.op_commit,
         )
-
-    def _peaks(self, state: _RunState) -> tuple[int, int]:
-        """(dram_peak, pool_peak) of one finished run or plan."""
-        dram_peak = state.ledger.peak("dram") + state.dram_alloc.peak_bytes
-        pool_peak = state.pool.allocator.peak_bytes
-        if self.config.device == "dram":
-            dram_peak += pool_peak
-        return dram_peak, pool_peak
 
     def run(
         self,
@@ -718,6 +690,10 @@ class NTadocEngine:
         resume_from: "RecoveryReport | None" = None,
     ) -> RunResult:
         """Execute ``task`` through both phases; return the measurement.
+
+        A run is a plan of one task: the same body as :meth:`run_many`,
+        with the phase timings reported straight from the run's timeline
+        instead of as a per-task attribution.
 
         Args:
             task: The analytics task to run.
@@ -729,133 +705,69 @@ class NTadocEngine:
                 the analytics output is bit-identical to an uncrashed
                 run's.
         """
-        if resume_from is not None:
-            return self._run_resumed(task, resume_from)
-        state = self._fresh_state(fault_plan)
-        return self._execute_solo(task, state)
+        state, resumed = self._start(fault_plan, resume_from, 1)
+        return self._execute_one(task, state, resumed=resumed)
 
-    def _execute_solo(self, task: "AnalyticsTask", state: _RunState) -> RunResult:
-        """Both phases of one solo task against prepared machinery.
-
-        Reuses ``state.pruned`` when it already exists (degraded-mode
-        siblings after a media recovery); a fresh state always builds.
-        """
-        stats_start = state.pool_mem.stats.snapshot()
-        records_start = len(state.timeline.records)
-        with self._observed():
-            obs_events.emit("phase_start", phase="initialization", task=task.name)
-            with state.timeline.phase("initialization"):
-                with obs.span("init:stream", category="engine"):
-                    self._charge_init_stream(state)
-                if state.pruned is None:
-                    with obs.span("init:pool_build", category="engine"):
-                        state.pruned = self._build_pruned(state)
-
-            ctx = self._make_context(state)
-
-            # Task-specific precomputation belongs to the initialization
-            # phase (Table II's accounting); re-enter it for the prepare
-            # hook and the phase checkpoint.
-            with state.timeline.phase("initialization"):
-                with obs.span(f"task:{task.name}:prepare", category="task"):
-                    task.prepare(ctx)
-                self._persist_phase(state.pool, state.phase_persist, "initialization")
-
-            obs_events.emit("phase_start", phase="traversal", task=task.name)
-            with state.timeline.phase("traversal"):
-                with obs.span(f"task:{task.name}:run", category="task"):
-                    result = task.run_compressed(ctx)
-                result_bytes = task.result_size_bytes(result)
-                with obs.span(f"task:{task.name}:write_back", category="task"):
-                    self._write_result_blob(state.pool, result_bytes)
-                self._persist_phase(state.pool, state.phase_persist, "traversal")
-                # Write analytics output back to disk (end of measurement
-                # window).
-                with obs.span("io:result_writeback", category="io"):
-                    charge_sequential_io(
-                        state.clock, state.disk, result_bytes, write=True
-                    )
-            obs_events.emit("task_complete", task=task.name)
-        self._record_run_metrics(state, stats_start, records_start, "solo")
-        return self._solo_result(task, state, ctx, result)
-
-    def _run_resumed(
-        self, task: "AnalyticsTask", report: "RecoveryReport"
-    ) -> RunResult:
-        """Resume an interrupted run from a recovered pool.
-
-        Completed phases are skipped: with initialization checkpointed,
-        only the per-run CPU/stream charges are re-paid and the traversal
-        phase re-executes against the surviving pruned DAG.  Traversal is
-        overwrite-idempotent (weights reset, structures rebuilt at the
-        restored allocator top), so the analytics output is bit-identical
-        to an uncrashed run's.
-        """
-        if report.needs_full_rebuild or report.pruned is None:
-            # Not even initialization survived: nothing to resume from.
-            return self.run(task)
-        state = self._resumed_state(report)
-        stats_start = state.pool_mem.stats.snapshot()
-        records_start = len(state.timeline.records)
-        with self._observed():
-            obs_events.emit(
-                "phase_start", phase="initialization", task=task.name,
-                resumed=True,
-            )
-            with state.timeline.phase("initialization"):
-                # The compressed artifact is re-streamed from disk and the
-                # in-DRAM derivations re-paid; the device-resident DAG pool
-                # itself survived the crash and is NOT rebuilt.
-                with obs.span("init:stream", category="engine"):
-                    self._charge_init_stream(state)
-
-            ctx = self._make_context(state)
-
-            with state.timeline.phase("initialization"):
-                with obs.span(f"task:{task.name}:prepare", category="task"):
-                    task.prepare(ctx)
-                # The initialization checkpoint already persisted before
-                # the crash; it is not re-written.
-                obs_events.emit(
-                    "phase_commit", phase="initialization", resumed=True
-                )
-
-            obs_events.emit(
-                "phase_start", phase="traversal", task=task.name, resumed=True
-            )
-            with state.timeline.phase("traversal"):
-                with obs.span(f"task:{task.name}:run", category="task"):
-                    result = task.run_compressed(ctx)
-                result_bytes = task.result_size_bytes(result)
-                with obs.span(f"task:{task.name}:write_back", category="task"):
-                    self._write_result_blob(state.pool, result_bytes)
-                self._persist_phase(state.pool, state.phase_persist, "traversal")
-                with obs.span("io:result_writeback", category="io"):
-                    charge_sequential_io(
-                        state.clock, state.disk, result_bytes, write=True
-                    )
-            obs_events.emit("task_complete", task=task.name, resumed=True)
-        self._record_run_metrics(state, stats_start, records_start, "resumed")
-        return self._solo_result(task, state, ctx, result, resumed=True)
-
-    def _solo_result(
+    def _start(
         self,
-        task: "AnalyticsTask",
+        fault_plan: "FaultPlan | None",
+        resume_from: "RecoveryReport | None",
+        n_tasks: int,
+    ) -> tuple[_RunState, bool]:
+        """Machinery for a new plan, and whether it resumes a crashed one.
+
+        A resumed plan skips the completed phases: with initialization
+        checkpointed, only the per-run CPU/stream charges are re-paid and
+        the traversal phase re-executes against the surviving pruned DAG.
+        Traversal is overwrite-idempotent (weights reset, structures
+        rebuilt at the restored allocator top), so the analytics output is
+        bit-identical to an uncrashed run's.  When not even initialization
+        survived, the plan starts from a fresh pool.
+        """
+        if resume_from is not None and not (
+            resume_from.needs_full_rebuild or resume_from.pruned is None
+        ):
+            return self._resumed_state(resume_from), True
+        return self._fresh_state(fault_plan, n_tasks=n_tasks), False
+
+    def _execute_one(
+        self, task: "AnalyticsTask", state: _RunState, *, resumed: bool = False
+    ) -> RunResult:
+        """A plan of one task, reported with the run's own timings."""
+        ctx, _fused, outcome = self._execute_plan(
+            [task], state, label="resumed" if resumed else "solo", resumed=resumed
+        )
+        return self._run_result(
+            state,
+            ctx,
+            task.name,
+            outcome.results[0],
+            state.timeline.as_dict(),
+            state.timeline.total_sim_ns(),
+            resumed=resumed,
+        )
+
+    def _run_result(
+        self,
         state: _RunState,
         ctx,
+        task_name: str,
         result: Any,
-        *,
-        resumed: bool = False,
+        phase_ns: dict[str, float],
+        total_ns: float,
+        **extra: Any,
     ) -> RunResult:
-        dram_peak, pool_peak = self._peaks(state)
-        total_ns = state.timeline.total_sim_ns()
         if self.metrics is not None:
-            self.metrics.observe("ntadoc_task_ns", total_ns, task=task.name)
+            self.metrics.observe("ntadoc_task_ns", total_ns, task=task_name)
+        dram_peak = state.ledger.peak("dram") + state.dram_alloc.peak_bytes
+        pool_peak = state.pool.allocator.peak_bytes
+        if self.config.device == "dram":
+            dram_peak += pool_peak
         return RunResult(
-            task=task.name,
+            task=task_name,
             system=self.system_name,
             result=result,
-            phase_ns=state.timeline.as_dict(),
+            phase_ns=phase_ns,
             total_ns=total_ns,
             dram_peak=dram_peak,
             pool_peak=pool_peak,
@@ -863,11 +775,11 @@ class NTadocEngine:
             strategy=ctx.strategy,
             ngram_names=ctx.ngram_names,
             pool_stats=state.pool_mem.stats,
-            resumed=resumed,
+            **extra,
         )
 
     # ------------------------------------------------------------------
-    # Fused multi-task execution (the shared-traversal planner)
+    # The plan body (the shared-traversal planner)
     # ------------------------------------------------------------------
 
     def run_many(
@@ -882,8 +794,7 @@ class NTadocEngine:
         The planner (:mod:`repro.core.plan`) runs at most one DAG pass
         per traversal direction and one root-segment sweep, dispatching
         shared per-rule and per-file records to every task that declared
-        a need for them.  Per-task results are bit-identical to solo
-        :meth:`run` calls; simulated time is charged once and attributed
+        a need for them.  Simulated time is charged once and attributed
         per task (an even share of the shared substrate plus each task's
         exclusive hook time).
 
@@ -900,10 +811,8 @@ class NTadocEngine:
         tasks = list(tasks)
         if not tasks:
             raise ValueError("run_many needs at least one task")
-        if resume_from is not None:
-            return self._run_many_resumed(tasks, resume_from)
-        state = self._fresh_state(fault_plan, n_tasks=len(tasks))
-        return self._execute_fused(tasks, state)
+        state, resumed = self._start(fault_plan, resume_from, len(tasks))
+        return self._execute_fused(tasks, state, resumed=resumed)
 
     def run_many_on(self, tasks: "list[AnalyticsTask]", state: _RunState):
         """Execute a fused plan against caller-prepared machinery.
@@ -913,30 +822,58 @@ class NTadocEngine:
         many queries; it constructs the :class:`_RunState` itself (with
         a fresh per-query timeline) and calls this instead of
         :meth:`run_many`.  When ``state.pruned`` already exists the pool
-        build is skipped, exactly like a degraded-mode solo re-run.
+        build is skipped, exactly like a degraded-mode re-run.
         """
         tasks = list(tasks)
         if not tasks:
             raise ValueError("run_many_on needs at least one task")
         return self._execute_fused(tasks, state)
 
-    def _execute_fused(self, tasks: "list[AnalyticsTask]", state: _RunState):
-        """One fused plan against prepared machinery (see run_many).
+    def _execute_fused(
+        self, tasks: "list[AnalyticsTask]", state: _RunState, *, resumed: bool = False
+    ):
+        """A plan reported as a PlanResult with per-task attributions."""
+        builds_start = state.pool_builds
+        ctx, fused, outcome = self._execute_plan(
+            tasks, state, label="resumed" if resumed else "fused", resumed=resumed
+        )
+        return self._finish_plan(
+            state,
+            ctx,
+            fused,
+            outcome,
+            pool_builds=state.pool_builds - builds_start,
+            resumed=resumed,
+        )
 
-        Reuses ``state.pruned`` when it already exists (the segmented
-        layer keeps segment DAGs built across queries); a fresh state
-        always builds.
+    def _execute_plan(
+        self,
+        tasks: "list[AnalyticsTask]",
+        state: _RunState,
+        *,
+        label: str,
+        resumed: bool = False,
+    ):
+        """Both phases of one plan against prepared machinery: the one
+        execution body behind every entry point.
+
+        Reuses ``state.pruned`` when it already exists (a resumed plan,
+        degraded-mode re-runs after a media recovery, the segmented layer's
+        built segment DAGs); a fresh state always builds.  A resumed plan
+        does not re-write the initialization checkpoint, which persisted
+        before the crash.  Returns ``(ctx, fused, outcome)``.
         """
         from repro.core.plan import execute_fused
 
         stats_start = state.pool_mem.stats.snapshot()
         records_start = len(state.timeline.records)
-        builds_start = state.pool_builds
+        flags = {"resumed": True} if resumed else {}
         with self._observed():
             obs_events.emit(
                 "phase_start",
                 phase="initialization",
                 tasks=[task.name for task in tasks],
+                **flags,
             )
             with state.timeline.phase("initialization"):
                 with obs.span("init:stream", category="engine"):
@@ -949,66 +886,30 @@ class NTadocEngine:
 
             with state.timeline.phase("initialization"):
                 fused = self._fuse_tasks(ctx, tasks)
-                self._persist_phase(state.pool, state.phase_persist, "initialization")
+                if resumed:
+                    obs_events.emit(
+                        "phase_commit", phase="initialization", resumed=True
+                    )
+                else:
+                    self._persist_phase(
+                        state.pool, state.phase_persist, "initialization"
+                    )
 
-            obs_events.emit("phase_start", phase="traversal")
+            obs_events.emit("phase_start", phase="traversal", **flags)
             with state.timeline.phase("traversal"):
                 outcome = execute_fused(ctx, fused)
                 self._write_plan_results(state, fused, outcome.results)
                 self._persist_phase(state.pool, state.phase_persist, "traversal")
             for task in tasks:
-                obs_events.emit("task_complete", task=task.name, fused=True)
-        self._record_run_metrics(state, stats_start, records_start, "fused")
-        return self._finish_plan(
-            state, ctx, fused, outcome, pool_builds=state.pool_builds - builds_start
-        )
-
-    def _run_many_resumed(self, tasks: "list[AnalyticsTask]", report):
-        """Resume an interrupted fused plan from a recovered pool (same
-        contract as :meth:`_run_resumed`, for the whole plan)."""
-        from repro.core.plan import execute_fused
-
-        if report.needs_full_rebuild or report.pruned is None:
-            return self.run_many(tasks)
-        state = self._resumed_state(report)
-        stats_start = state.pool_mem.stats.snapshot()
-        records_start = len(state.timeline.records)
-        with self._observed():
-            obs_events.emit(
-                "phase_start", phase="initialization", resumed=True
-            )
-            with state.timeline.phase("initialization"):
-                with obs.span("init:stream", category="engine"):
-                    self._charge_init_stream(state)
-
-            ctx = self._make_context(state)
-
-            with state.timeline.phase("initialization"):
-                fused = self._fuse_tasks(ctx, tasks)
-                # The initialization checkpoint already persisted before
-                # the crash; it is not re-written.
-                obs_events.emit(
-                    "phase_commit", phase="initialization", resumed=True
-                )
-
-            obs_events.emit("phase_start", phase="traversal", resumed=True)
-            with state.timeline.phase("traversal"):
-                outcome = execute_fused(ctx, fused)
-                self._write_plan_results(state, fused, outcome.results)
-                self._persist_phase(state.pool, state.phase_persist, "traversal")
-            for task in tasks:
-                obs_events.emit("task_complete", task=task.name, fused=True)
-        self._record_run_metrics(state, stats_start, records_start, "resumed")
-        return self._finish_plan(
-            state, ctx, fused, outcome, pool_builds=0, resumed=True
-        )
+                obs_events.emit("task_complete", task=task.name, **flags)
+        self._record_run_metrics(state, stats_start, records_start, label)
+        return ctx, fused, outcome
 
     def _fuse_tasks(self, ctx, tasks: "list[AnalyticsTask]") -> list:
         """Collect every task's fused declaration (initialization phase).
 
-        Fuse-time preparation (e.g. the sequence tasks' rule profiles) is
-        the fused counterpart of the solo prepare() hook; its simulated
-        time is attributed exclusively to the declaring task.
+        Fuse-time preparation (e.g. the sequence tasks' rule profiles)
+        is attributed exclusively to the declaring task.
         """
         fused = []
         for task in tasks:
@@ -1052,33 +953,20 @@ class NTadocEngine:
         trav_total = phase_ns.get("traversal", 0.0)
         shared_init = max(init_total - sum(f.init_ns for f in fused), 0.0)
         shared_trav = max(trav_total - sum(f.exclusive_ns for f in fused), 0.0)
-        dram_peak, pool_peak = self._peaks(state)
         results = []
         for f, result in zip(fused, outcome.results):
             task_phases = {
                 "initialization": shared_init / n + f.init_ns,
                 "traversal": shared_trav / n + f.exclusive_ns,
             }
-            if self.metrics is not None:
-                self.metrics.observe(
-                    "ntadoc_task_ns",
-                    task_phases["initialization"] + task_phases["traversal"],
-                    task=f.task.name,
-                )
             results.append(
-                RunResult(
-                    task=f.task.name,
-                    system=self.system_name,
-                    result=result,
-                    phase_ns=task_phases,
-                    total_ns=task_phases["initialization"]
-                    + task_phases["traversal"],
-                    dram_peak=dram_peak,
-                    pool_peak=pool_peak,
-                    pool_device=self.config.device,
-                    strategy=ctx.strategy,
-                    ngram_names=ctx.ngram_names,
-                    pool_stats=state.pool_mem.stats,
+                self._run_result(
+                    state,
+                    ctx,
+                    f.task.name,
+                    result,
+                    task_phases,
+                    task_phases["initialization"] + task_phases["traversal"],
                     resumed=resumed,
                     fused=True,
                     shared_ns=(shared_init + shared_trav) / n,
@@ -1141,7 +1029,7 @@ class NTadocEngine:
 
         The fused plan is attempted once; if a media error surfaces, the
         pool is scrubbed, the damaged build quarantined, and every task
-        re-run solo against the recovered pool so sibling tasks complete
+        re-run alone against the recovered pool so sibling tasks complete
         even when one task's data is gone for good.  Tasks that still
         cannot finish appear as :class:`TaskFailure` entries in
         ``PlanResult.failures``; ``results`` holds the finishers.
@@ -1169,7 +1057,7 @@ class NTadocEngine:
                     self._fail_task(task, state, scrub_exc) for task in tasks
                 ]
                 return self._degraded_plan(state, [], failures)
-        # Degraded mode: siblings complete solo against the scrubbed
+        # Degraded mode: siblings complete alone against the scrubbed
         # pool; a task whose damage persists fails alone.
         results: list[RunResult] = []
         failures: list[TaskFailure] = []
@@ -1228,7 +1116,7 @@ class NTadocEngine:
         last_scrub = None
         for attempt in range(max_recoveries + 1):
             try:
-                return self._execute_solo(task, state)
+                return self._execute_one(task, state)
             except MediaError as exc:
                 if state.guard is None:
                     return self._fail_task(

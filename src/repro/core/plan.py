@@ -13,8 +13,9 @@ consumers:
   construction when any task needs word lists, with every bottom-up
   visitor (search/locate marking) riding the same per-rule reads;
 * one **top-down** pass -- the global weight propagation followed by a
-  single ``weight_and_words`` record read per rule, dispatched to all
-  top-down visitors (word count, sort, sequence count);
+  single ``weight_and_words`` record read per rule (the weight field
+  alone when no visitor reads words), dispatched to all top-down
+  visitors (word count, sort, sequence count);
 * one **segment sweep** over the root-body file segments -- shared
   per-file word counts are computed once per file and handed to every
   segment visitor that declared ``file_counts`` (term vector, inverted
@@ -29,7 +30,8 @@ per-task totals sum exactly to the plan total, which is charged once.
 
 This module is engine-agnostic: :class:`~repro.core.engine.NTadocEngine`
 builds the context and phases, then delegates the traversal phase to
-:func:`execute_fused`.
+:func:`execute_fused`.  Every compressed run goes through here: a
+single-task ``run(t)`` is a plan of one.
 """
 
 from __future__ import annotations
@@ -155,11 +157,11 @@ def execute_fused(
     segment_sweeps = 0
 
     # --- replan: direction-flexible tasks ride the word-list pass ------
-    # Per-file counts follow the solo traversal rule (``ctx.strategy``,
-    # Section VI-E), so a plan of one task charges exactly what its solo
-    # run does.  When the plan schedules a bottom-up word-list pass
-    # anyway, swap every bundle offering a word-list alternate for that
-    # alternate -- the plan may drop its top-down pass entirely.
+    # Per-file counts follow the engine's resolved traversal rule
+    # (``ctx.strategy``, Section VI-E).  When the plan schedules a
+    # bottom-up word-list pass anyway, swap every bundle offering a
+    # word-list alternate for that alternate -- the plan may drop its
+    # top-down pass entirely.
     need_counts = any(f.needs.file_counts for f in fused)
     counts_strategy = ctx.strategy if need_counts else None
     if counts_strategy == "bottomup" or any(f.needs.wordlists for f in fused):
@@ -202,25 +204,25 @@ def execute_fused(
     visitors = tuple(
         timed(f, f.visit_rule_bottomup, "visit_bottomup") for f in bottomup
     )
-    if need_wordlists:
+    sweep_segments = bool(segmenters) or need_counts
+    if need_wordlists or visitors:
+        if need_wordlists and sweep_segments:
+            # Per-file merging reads the root body before the word lists
+            # it merges exist; the float sums of the charges follow that
+            # order.
+            ctx.root_segments()
         dag_passes["bottomup"] += 1
         with obs.span(
             "plan:bottomup_pass",
             category="plan",
-            wordlists=True,
+            wordlists=need_wordlists,
             visitors=len(visitors),
         ):
-            ctx.build_wordlists(visitors)
-    elif visitors:
-        dag_passes["bottomup"] += 1
-        with obs.span(
-            "plan:bottomup_pass",
-            category="plan",
-            wordlists=False,
-            visitors=len(visitors),
-        ):
-            bottomup_rule_sweep(ctx.pruned, ctx.reverse_topo, visitors)
-            ctx.op_commit()
+            if need_wordlists:
+                ctx.build_wordlists(visitors)
+            else:
+                bottomup_rule_sweep(ctx.pruned, ctx.reverse_topo, visitors)
+                ctx.op_commit()
 
     # --- top-down pass: weight propagation + one record read per rule --
     if need_weights or topdown:
@@ -232,24 +234,28 @@ def execute_fused(
                 ctx.ensure_weights()
             if topdown:
                 callbacks = [
-                    (f, timed(f, f.visit_rule, "visit_topdown"))
-                    for f in topdown
+                    timed(f, f.visit_rule, "visit_topdown") for f in topdown
                 ]
-                for rule in range(ctx.pruned.n_rules):
-                    weight, words = ctx.pruned.weight_and_words(rule)
-                    for _f, call in callbacks:
+                pruned = ctx.pruned
+                read_words = any(f.needs.rule_words for f in topdown)
+                for rule in range(pruned.n_rules):
+                    if read_words:
+                        weight, words = pruned.weight_and_words(rule)
+                    else:
+                        weight, words = pruned.weight(rule), None
+                    for call in callbacks:
                         call(rule, weight, words)
 
     # --- segment sweep: shared per-file counts + segment visitors ------
-    if segmenters or need_counts:
+    if sweep_segments:
         segment_sweeps = 1
         with obs.span("plan:segment_sweep", category="plan") as sweep_span:
             segments = ctx.root_segments()
             if sweep_span is not None:
                 sweep_span.attrs["files"] = len(segments)
-            # The shared counts are the solo tasks' own pass (one
-            # operation commit per file), run before any visitor, so a
-            # plan of one counting task charges in its solo run's order.
+            # The shared counts are one pass (one operation commit per
+            # file) run before any visitor; otherwise the sweep commits
+            # once per file after its visitors.
             counts = (
                 per_file_word_counts(ctx, counts_strategy)
                 if need_counts
