@@ -18,9 +18,16 @@ device cost model.  The traversal queue lives in the pool, as in Fig. 3.
 
 from __future__ import annotations
 
-from repro.core.grammar import is_rule_ref, is_separator, rule_index
+from repro.core.grammar import (
+    RULE_BASE,
+    SEP_BASE,
+    is_rule_ref,
+    is_separator,
+    rule_index,
+)
 from repro.core.pruning import PrunedDag
 from repro.kernels.dagops import sweep_subrule_weights
+from repro.kernels.hashops import accumulate_segment
 from repro.nvm.allocator import PoolAllocator
 from repro.obs import tracer as obs
 from repro.pstruct import layout
@@ -223,12 +230,9 @@ def _compute_wordlists_bottomup(
         else:
             bound, subs, words = pruned.bound_and_entries(rule)
             table = PHashTable.create(allocator, expected_entries=max(bound, 1))
-            if words:
-                table.add_many(words)
-            for subrule, freq in subs:
-                # Charge-identical to add_many over subtable.items(); the
-                # kernel path fuses the scan and the home-ordered probes.
-                table.merge_from(tables[subrule], scale=freq)
+            # add_many(words), then merge_from(subtable, freq) per subrule:
+            # one probe-kernel call for the whole rule when kernels run.
+            table.build(words, [(tables[subrule], freq) for subrule, freq in subs])
         tables[rule] = table
         for visit in visitors:
             visit(rule, words, subs)
@@ -268,9 +272,21 @@ def merge_segment_counts(
     Bare words in the segment count directly; each rule reference merges
     that rule's (pre-computed) word list.  This is the bottom-up per-file
     strategy: cost is proportional to the segment plus the referenced
-    word lists, independent of the total file count.
+    word lists, independent of the total file count.  With kernels the
+    whole segment is one kernel pass (``hashops.accumulate_segment``).
     """
     counts: dict[int, int] = {}
+    kern = wordlists[0].scan_kernels() if wordlists else None
+    if kern is not None:
+        return accumulate_segment(
+            kern,
+            segment,
+            lambda rule: wordlists[rule].scan_spec(),
+            counts,
+            clock,
+            word_limit=SEP_BASE,
+            rule_base=RULE_BASE,
+        )
     for symbol in segment:
         clock.cpu(1)
         if is_separator(symbol):

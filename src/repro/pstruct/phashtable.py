@@ -64,25 +64,36 @@ def hash64(key: int) -> int:
     return x ^ (x >> 31)
 
 
-#: Memoized hash64: word ids recur across the thousands of per-rule
-#: word-list merges of one bottom-up sweep, so the pure finalizer is
-#: worth caching (host-side only; no simulated cost either way).
-_H64_CACHE: dict[int, int] = {}
-_H64_CACHE_MAX = 1 << 20
+class _Hash64Memo(dict):
+    """Memoized :func:`hash64`, looked up as ``memo[key]``.
+
+    Word ids recur across the thousands of per-rule word-list merges of
+    one bottom-up sweep, so the pure finalizer is worth caching
+    (host-side only; no simulated cost either way).  A hit is one
+    C-level dict lookup; a miss computes and stores the hash, clearing
+    the memo first once it holds ``MAX`` keys.
+    """
+
+    MAX = 1 << 20
+
+    def __missing__(self, key: int) -> int:
+        if len(self) >= self.MAX:
+            self.clear()
+        h = self[key] = hash64(key)
+        return h
 
 
-def _hash64_cached(key: int) -> int:
-    h = _H64_CACHE.get(key)
-    if h is None:
-        if len(_H64_CACHE) >= _H64_CACHE_MAX:
-            _H64_CACHE.clear()
-        h = hash64(key)
-        _H64_CACHE[key] = h
-    return h
+_HASH64 = _Hash64Memo()
 
 
-def _home_of(entry: tuple) -> int:
-    return entry[0]
+def _presum(pairs) -> dict[int, int]:
+    """``pairs`` with the deltas of duplicate keys summed, in first-seen
+    order: each distinct key then pays one probe."""
+    totals: dict[int, int] = {}
+    get = totals.get
+    for key, delta in pairs:
+        totals[key] = get(key, 0) + delta
+    return totals
 
 
 class PHashTable:
@@ -245,10 +256,7 @@ class PHashTable:
         if not merged:
             return 0
         if self._kernel_ok():
-            inserted = self._batch(hashops.PUT, merged.items())
-            if inserted:
-                self._store_header()
-            return inserted
+            return self._batch(hashops.PUT, [(merged.items(), None)])
         mask = self._capacity - 1
         inserted = 0
         for key in sorted(merged, key=lambda k: hash64(k) & mask):
@@ -266,15 +274,11 @@ class PHashTable:
         pays one probe; probes run in home-slot order (see
         :meth:`insert_many`) and the header is stored once.
         """
-        totals: dict[int, int] = {}
-        get = totals.get
-        for key, delta in pairs:
-            totals[key] = get(key, 0) + delta
+        totals = _presum(pairs)
         if not totals:
             return
         if self._kernel_ok():
-            if self._batch(hashops.ADD, totals.items()):
-                self._store_header()
+            self._batch(hashops.ADD, [(totals.items(), None)])
             return
         mask = self._capacity - 1
         inserted = False
@@ -294,7 +298,7 @@ class PHashTable:
         keys = list(keys)
         out: list[int | None] = [default] * len(keys)
         if self._kernel_ok():
-            self._batch(hashops.GET, ((key, pos) for pos, key in enumerate(keys)), out=out)
+            self._batch(hashops.GET, [(zip(keys, range(len(keys))), None)], out=out)
             return out
         mask = self._capacity - 1
         for pos in sorted(range(len(keys)), key=lambda i: hash64(keys[i]) & mask):
@@ -310,53 +314,53 @@ class PHashTable:
         Charge-identical to ``add_many(other.items())`` with scaled
         values: the same chunked status/key/value scan of ``other``
         followed by the same home-ordered probe sequence into ``self``.
-        The kernel path skips the generator plumbing and the duplicate
-        pre-sum (a table's live keys are already distinct).
+        The kernel path scans ``other`` inside the probe kernel and skips
+        the duplicate pre-sum (a table's live keys are already distinct).
         """
-        if not self._kernel_ok():
+        if not self._kernel_ok() or other._mem is not self._mem:
             if scale == 1:
                 self.add_many(other.items())
             else:
                 self.add_many((word, count * scale) for word, count in other.items())
             return
-        keys, vals = other._scan_entries()
-        if not keys:
-            return
-        if scale == 1:
-            pairs = zip(keys, vals)
-        else:
-            pairs = ((key, value * scale) for key, value in zip(keys, vals))
-        if self._batch(hashops.ADD, pairs):
-            self._store_header()
+        self._batch(hashops.ADD, [(other.scan_spec(), scale)])
+
+    @traced_op("phashtable:build")
+    def build(self, words, children) -> None:
+        """Fill one rule's word list: ``add_many(words)``, then
+        ``merge_from(child, scale)`` for each ``(child, scale)`` of
+        ``children``, in that order.
+
+        Charge-identical to those calls, header stores included; the
+        kernel path runs them as the groups of one probe-kernel call.
+        """
+        if self._kernel_ok():
+            mem = self._mem
+            groups = [(_presum(words).items(), None)] if words else []
+            for child, scale in children:
+                if child._mem is not mem:
+                    break  # scanned through another memory: per-call path
+                groups.append((child.scan_spec(), scale))
+            else:
+                if groups:
+                    self._batch(hashops.ADD, groups)
+                return
+        if words:
+            self.add_many(words)
+        for child, scale in children:
+            self.merge_from(child, scale)
 
     def accumulate_into(self, counts: dict, clock) -> None:
         """Fold every pair into ``counts``, charging ``clock.cpu(1)`` each.
 
-        Charge-identical to ``for w, c in items(): counts[w] = ...;
-        clock.cpu(1)`` -- the chunk reads interleave with the per-pair
-        CPU charges in the same order, and each pair adds exactly one
-        ``CPU_OP_NS`` to the clock.
+        The chunk reads of :meth:`items` interleave with the per-pair CPU
+        charges.  The bottom-up per-file pass does this for a whole file
+        segment in one kernel call (``hashops.accumulate_segment``).
         """
-        if not self._scan_ok():
-            get = counts.get
-            for word, count in self.items():
-                counts[word] = get(word, 0) + count
-                clock.cpu(1)
-            return
-        cpu_ns = clock.CPU_OP_NS
         get = counts.get
-        for keys, vals in hashops.scan_chunks(
-            self._mem.kernels,
-            self._kernel_views(),
-            data_offset=self._data_offset,
-            capacity=self._capacity,
-        ):
-            ns = clock.ns
-            for _ in keys:
-                ns += cpu_ns
-            clock.ns = ns
-            for word, count in zip(keys, vals):
-                counts[word] = get(word, 0) + count
+        for word, count in self.items():
+            counts[word] = get(word, 0) + count
+            clock.cpu(1)
 
     def delete(self, key: int) -> bool:
         """Remove ``key``; return whether it was present."""
@@ -408,45 +412,6 @@ class PHashTable:
             )
             yield from zip(keys, values)
 
-    def _scan_entries(self) -> tuple[list[int], list[int]]:
-        """Read all live ``(keys, values)`` with the same bulk sequential
-        reads (and therefore charges) as a full drain of :meth:`items`."""
-        keys_out: list[int] = []
-        vals_out: list[int] = []
-        if self._scan_ok():
-            for keys, vals in hashops.scan_chunks(
-                self._mem.kernels,
-                self._kernel_views(),
-                data_offset=self._data_offset,
-                capacity=self._capacity,
-            ):
-                keys_out.extend(keys)
-                vals_out.extend(vals)
-            return keys_out, vals_out
-        mem = self._mem
-        kern = mem.kernels
-        np_mod = kern.np if kern is not None else None
-        chunk = 512
-        capacity = self._capacity
-        data_offset = self._data_offset
-        key_base = data_offset + capacity
-        value_base = data_offset + capacity * 9
-        read = mem.read
-        for start in range(0, capacity, chunk):
-            count = min(chunk, capacity - start)
-            statuses = read(data_offset + start, count)
-            if _OCCUPIED not in statuses:
-                continue
-            keys, vals = select_occupied(
-                statuses,
-                read(key_base + start * 8, count * 8),
-                read(value_base + start * 8, count * 8),
-                np_mod,
-            )
-            keys_out.extend(keys)
-            vals_out.extend(vals)
-        return keys_out, vals_out
-
     def to_dict(self) -> dict[int, int]:
         """Materialize the table as a Python dict."""
         return dict(self.items())
@@ -485,6 +450,16 @@ class PHashTable:
         """
         return _NATIVE_LE and self._mem.kernel_ready
 
+    def scan_kernels(self):
+        """The memory's kernels when scans of this table may run on them
+        (see :meth:`_scan_ok`), else ``None``."""
+        return self._mem.kernels if self._scan_ok() else None
+
+    def scan_spec(self) -> tuple:
+        """``(views, data_offset, capacity)``: what a kernel needs to scan
+        this table."""
+        return self._kernel_views(), self._data_offset, self._capacity
+
     def _kernel_views(self):
         """This table's (status, key, value) kernel views, built once."""
         if self._views is None:
@@ -493,19 +468,17 @@ class PHashTable:
             )
         return self._views
 
-    def _batch(self, mode: int, pairs, out: list | None = None) -> int:
-        """Home-sort ``pairs`` and run the fused probe kernel.
+    def _batch(self, mode: int, groups, out: list | None = None) -> int:
+        """Run ``groups`` (see ``hashops.probe_batch``) through the fused
+        probe kernel; return the keys inserted.
 
-        ``pairs`` iterates ``(key, aux)`` in the scalar path's tie-break
-        order; the stable sort reproduces ``sorted(keys, key=home)``
-        exactly.  On :class:`CapacityError` the scalar paths' partial
-        state is mirrored: prior inserts (and their charges) stand and
-        the header store is skipped.
+        Each group is home-sorted stably, which reproduces the scalar
+        ``sorted(keys, key=home)`` exactly, and the header is stored
+        after each group that inserted a key.  On :class:`CapacityError`
+        the scalar paths' partial state is mirrored: prior inserts (and
+        their charges) stand and the failing group's header store is
+        skipped.
         """
-        mask = self._capacity - 1
-        h64 = _hash64_cached
-        entries = [(h64(key) & mask, key, aux) for key, aux in pairs]
-        entries.sort(key=_home_of)
         counter = [self._count]
         try:
             return hashops.probe_batch(
@@ -516,13 +489,21 @@ class PHashTable:
                 count=self._count,
                 tombstones=self._tombstones,
                 load_limit=self._capacity * _MAX_LOAD,
-                entries=entries,
+                groups=groups,
                 mode=mode,
+                hashes=_HASH64,
                 out=out,
                 counter=counter,
+                store_header=None if mode == hashops.GET else self._store_count,
             )
         finally:
             self._count = counter[0]
+
+    def _store_count(self, count: int) -> None:
+        """Store the header with ``count`` live keys (the probe kernel's
+        per-group header store)."""
+        self._count = count
+        self._store_header()
 
     def _status_off(self, slot: int) -> int:
         return self._data_offset + slot

@@ -9,6 +9,9 @@ This suite holds that promise three ways:
 
 * property-based op programs over the persistent containers, replayed
   against one memory per mode and compared snapshot-for-snapshot,
+* the grouped bottom-up build (one probe-kernel call per rule) and the
+  per-segment pass on dataset B, plus a ``CapacityError`` raised in the
+  middle group of a build,
 * an engine-level fused trio run compared across every mode,
 * the per-file top-down sweep kernel on datasets A, C and D, solo and
   fused, with pool images, stats and outputs compared across backends,
@@ -40,7 +43,7 @@ from repro.harness.crashsweep import (
     render_report,
     run_sweep,
 )
-from repro.kernels import make, numpy_or_none
+from repro.kernels import hashops, make, numpy_or_none
 from repro.nvm.allocator import PoolAllocator
 from repro.nvm.device import DeviceProfile
 from repro.nvm.faults import FaultPlan
@@ -81,8 +84,23 @@ _KEYS = st.integers(min_value=0, max_value=47)
 _VALS = st.integers(min_value=-40, max_value=2000)
 _PAIRS = st.lists(st.tuples(_KEYS, _VALS), max_size=40)
 
+#: A multi-source merge (``PHashTable.build``): words, then several
+#: ``(source index, scale)`` children.
+_BUILD = st.tuples(
+    _PAIRS,
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=1, max_value=5),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
 _TABLE_OP = st.one_of(
     st.tuples(st.just("add_many"), _PAIRS),
+    st.tuples(st.just("build"), _BUILD),
     st.tuples(st.just("insert_many"), _PAIRS),
     st.tuples(st.just("get_many"), st.lists(_KEYS, max_size=30)),
     st.tuples(st.just("merge"), st.integers(min_value=1, max_value=5)),
@@ -100,6 +118,13 @@ def _run_table_program(mode: str, cache_bytes: int, ops) -> tuple:
     source = PHashTable.create(alloc, 64)
     target = PHashTable.create(alloc, 48)
     source.add_many((k, k % 7 + 1) for k in range(40))
+    # Sources of the multi-source merge: overlapping key ranges whose
+    # union (100 keys) overflows the target's load cap of 89.
+    sources = [source]
+    for low in (30, 60):
+        extra = PHashTable.create(alloc, 48)
+        extra.add_many((k, k % 5 + 2) for k in range(low, low + 40))
+        sources.append(extra)
     observed: list = []
     for name, arg in ops:
         try:
@@ -111,6 +136,9 @@ def _run_table_program(mode: str, cache_bytes: int, ops) -> tuple:
                 observed.append(target.get_many(arg, default=-1))
             elif name == "merge":
                 target.merge_from(source, scale=arg)
+            elif name == "build":
+                words, children = arg
+                target.build(words, [(sources[i], scale) for i, scale in children])
             elif name == "accumulate":
                 counts: dict = {}
                 target.accumulate_into(counts, mem.clock)
@@ -323,6 +351,87 @@ class TestTopdownSweepKernel:
             "sweep_subrule_weights",
             "accumulate_rule_words",
         }
+
+
+# -- grouped bottom-up build -----------------------------------------------
+
+
+def _build_overflow(mode: str) -> tuple:
+    """A build whose middle child overflows an undersized parent."""
+    mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 20, kernels=mode)
+    alloc = PoolAllocator(mem, 0, 1 << 19)
+    children = []
+    for low, n in ((10, 4), (20, 6), (40, 3)):
+        child = PHashTable.create(alloc, 8)
+        child.add_many((k, k + 1) for k in range(low, low + n))
+        children.append(child)
+    parent = PHashTable.create(alloc, 8)  # 16 slots, load cap 11 keys
+    words = [(k, 1) for k in range(4)]
+    with pytest.raises(CapacityError) as err:
+        parent.build(words, list(zip(children, (2, 3, 5))))
+    state = snapshot(mem)
+    persisted = len(PHashTable.attach(alloc, parent.header_offset))
+    return state, str(err.value), len(parent), persisted, parent.to_dict()
+
+
+def _bottomup_runs(corpus, mode: str, fused: bool) -> tuple:
+    """Outputs plus pool snapshot of a bottom-up run (trio or word_count)."""
+    engine = NTadocEngine(corpus, EngineConfig(kernels=mode, traversal="bottomup"))
+    # The resilient entry points run the same plan body and keep the
+    # pool state (``last_state``) for inspection.
+    if fused:
+        run = engine.run_many_resilient([WordCount(), InvertedIndex(), TermVector()])
+    else:
+        run = engine.run_resilient(WordCount())
+    results = run.results if fused else [run]
+    return (
+        run.total_ns.hex(),
+        [canonical_result(r.result) for r in results],
+        _pool_snapshot(engine.last_state.pool_mem),
+        engine.last_state.pool_mem.stats,
+    )
+
+
+@pytest.fixture
+def group_calls(monkeypatch):
+    """Group count of every probe-kernel call, plus per-segment passes."""
+    calls: list = []
+    probe = hashops.probe_batch
+    segment = traversal.accumulate_segment
+
+    def probe_spy(*args, **kwargs):
+        calls.append(len(kwargs["groups"]))
+        return probe(*args, **kwargs)
+
+    def segment_spy(*args, **kwargs):
+        calls.append("segment")
+        return segment(*args, **kwargs)
+
+    monkeypatch.setattr(hashops, "probe_batch", probe_spy)
+    monkeypatch.setattr(traversal, "accumulate_segment", segment_spy)
+    return calls
+
+
+class TestGroupedBuild:
+    @pytest.mark.parametrize("fused", [True, False], ids=["trio", "word_count"])
+    def test_bottomup_identical_across_backends(self, fused, group_calls):
+        corpus = corpus_for("B", scale=0.05)
+        reference = _bottomup_runs(corpus, "off", fused)
+        assert group_calls == []
+        for mode in _backends():
+            assert _bottomup_runs(corpus, mode, fused) == reference, mode
+        # Rules were built several groups per call; the trio's per-file
+        # counts took the one-pass segment kernel (word_count has none).
+        assert max(c for c in group_calls if c != "segment") > 1
+        assert ("segment" in group_calls) == fused
+
+    def test_capacity_error_in_middle_group_matches(self):
+        reference = _build_overflow("off")
+        # Words and the first child landed; the middle child raised.
+        assert 4 + 4 <= reference[2] < 4 + 4 + 6
+        assert reference[3] == 4 + 4  # header stored after child one only
+        for mode in _backends():
+            assert _build_overflow(mode) == reference, mode
 
 
 # -- crash sweep with kernels ---------------------------------------------

@@ -13,6 +13,8 @@ backends, and requires ``==``:
   reads: the same ``MediaError`` (line, offset, kind) with the same
   clock and stats, and the same graceful degradation under
   ``run_resilient``;
+* a poked line of the second child of a grouped build: the kernel call
+  stops where the per-child scalar loop stops;
 * a cache small enough to force dirty evictions inside the kernels: the
   seal mirror (resealed at every eviction) stays ``==``.
 """
@@ -233,6 +235,44 @@ def test_poked_table_line_raises_identically(site, op, kernel_calls):
     for mode in _backends():
         assert _damaged_op(mode, site, op) == reference, mode
     assert kernel_calls
+
+
+def _damaged_build(mode: str):
+    """Build a parent from three sealed children, the second one damaged
+    in a line only it occupies; return the error and the state left."""
+    mem, pool, _ = _sealed_table(mode)
+    size = 1 << 15
+    alloc = PoolAllocator(
+        mem, base=pool.alloc_region("build", size, align=LINE), capacity=size
+    )
+    children = []
+    for low in (100, 200, 300):
+        child = PHashTable.create(alloc, 40)  # 64 slots: 1088 data bytes
+        child.add_many((low + key, key + 1) for key in range(30))
+        children.append(child)
+    pool.flush()
+    # Slot 32's key sits 320 bytes into the child's data: its line holds
+    # nothing of the first child.
+    offset = children[1]._key_off(32)
+    assert offset // LINE > (children[0]._value_off(63) + 7) // LINE
+    mem.poke(offset, bytes([mem.peek(offset, 1)[0] ^ 0x5A]))
+    parent = PHashTable.create(alloc, 100)
+    with pytest.raises(MediaError) as info:
+        parent.build([(7, 1), (8, 2)], [(child, 2) for child in children])
+    exc = info.value
+    assert exc.line == offset // LINE
+    state = _mem_state(mem)
+    return (exc.line, exc.offset, exc.kind, str(exc), len(parent)), state, parent.to_dict()
+
+
+def test_poked_second_child_of_a_build_raises_identically(kernel_calls):
+    reference = _damaged_build("off")
+    assert kernel_calls == []
+    # The words and the first child landed before the damaged scan.
+    assert len(reference[2]) == 2 + 30
+    for mode in _backends():
+        assert _damaged_build(mode) == reference, mode
+    assert "probe_batch" in kernel_calls
 
 
 def _poke_meta_once(monkeypatch):
